@@ -1,20 +1,18 @@
-//! Benchmark the two serve modes under concurrent clients.
+//! Benchmark the event-loop server under concurrent clients.
 //!
-//! Spins up a `dp-server` on a loopback TCP socket in each serve mode
-//! (`threads` — one blocking thread per connection; `evloop` — the
-//! `dp-net` poll reactor), ingests one batch of releases, then drives
-//! 1/2/4/8 concurrent clients issuing point queries (knn) and records
+//! Spins up a `dp-server` on a loopback TCP socket (two `dp-net`
+//! event loops), ingests one batch of releases, then drives 1/2/4/8
+//! concurrent clients issuing point queries (knn) and records
 //! throughput plus p50/p99 per-request latency.
 //!
-//! Before any timing is trusted, one knn answer per mode is verified
+//! Before any timing is trusted, one knn answer per run is verified
 //! **bit-identical** to the in-process engine — the transport must
 //! never touch the numbers.
 //!
-//! Single-host record: all clients, all serve threads/loops, and the
-//! engine share this machine's CPUs (CI pins one), so the numbers
-//! measure protocol + scheduling overhead, not scale-out. The
-//! trajectory to watch is evloop holding throughput as clients exceed
-//! serving threads, where thread mode must queue at accept.
+//! Single-host record: all clients, both serve loops, and the engine
+//! share this machine's CPUs, so the numbers measure protocol +
+//! scheduling overhead, not scale-out. The trajectory to watch is
+//! throughput holding as clients outnumber the serve loops.
 //!
 //! Usage: `bench_server [--quick] [--out <path>]`
 
@@ -25,12 +23,11 @@ use dp_core::release::Release;
 use dp_core::sketcher::{Construction, PrivateSketcher, SketcherSpec};
 use dp_engine::{QueryEngine, SketchStore};
 use dp_hashing::Seed;
-use dp_server::{Client, Endpoint, ServeMode, Server};
+use dp_server::{Client, Endpoint, Server};
 use std::sync::Barrier;
 use std::time::Instant;
 
 struct Measurement {
-    mode: &'static str,
     clients: usize,
     throughput_qps: f64,
     p50_ns: f64,
@@ -45,11 +42,11 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Serve `mode`, ingest the batch, then drive `clients` concurrent
-/// connections each issuing `queries` knn requests. Returns the wall
-/// time of the measured phase plus every per-request latency (ns).
-fn run_mode(
-    mode: ServeMode,
+/// Serve on two event loops, ingest the batch, then drive `clients`
+/// concurrent connections each issuing `queries` knn requests. Returns
+/// the wall time of the measured phase plus every per-request latency
+/// (ns).
+fn run_clients(
     spec: &SketcherSpec,
     releases: &[Release],
     clients: usize,
@@ -62,17 +59,11 @@ fn run_mode(
     )
     .expect("bind");
     let endpoint = server.local_endpoint();
-    // Thread mode needs a thread per concurrent client; the reactor
-    // serves any number of connections on a fixed two loops.
-    let workers = match mode {
-        ServeMode::Threads => clients + 1,
-        ServeMode::EvLoop => 2,
-    };
     let probe_party = releases[0].party_id;
     let barrier = Barrier::new(clients + 1);
 
     std::thread::scope(|scope| {
-        let serve = scope.spawn(|| server.serve_mode(mode, workers));
+        let serve = scope.spawn(|| server.serve(2));
 
         let mut setup = Client::connect(&endpoint).expect("connect setup");
         setup.hello(spec).expect("hello");
@@ -167,37 +158,31 @@ fn main() {
         .map(|n| (n.party_id, n.estimated_sq_distance))
         .collect();
 
-    println!("== bench_server: serve-mode throughput under concurrent clients ==");
+    println!("== bench_server: event-loop throughput under concurrent clients ==");
     println!("d = {d}, k = {k}, rows = {rows}, {queries} knn queries per client");
 
     let mut measurements = Vec::new();
     let mut all_identical = true;
-    for (mode, name) in [
-        (ServeMode::Threads, "threads"),
-        (ServeMode::EvLoop, "evloop"),
-    ] {
-        for clients in [1usize, 2, 4, 8] {
-            let (wall, mut latencies, identical) =
-                run_mode(mode, &spec, &releases, clients, queries, &expected_knn);
-            all_identical &= identical;
-            latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let throughput = (clients * queries) as f64 / wall;
-            let p50 = percentile(&latencies, 0.50);
-            let p99 = percentile(&latencies, 0.99);
-            println!(
-                "{name:7}  clients = {clients}  {throughput:9.0} req/s  \
-                 p50 {:8.1} µs  p99 {:8.1} µs  bit-identical: {identical}",
-                p50 / 1e3,
-                p99 / 1e3,
-            );
-            measurements.push(Measurement {
-                mode: name,
-                clients,
-                throughput_qps: throughput,
-                p50_ns: p50,
-                p99_ns: p99,
-            });
-        }
+    for clients in [1usize, 2, 4, 8] {
+        let (wall, mut latencies, identical) =
+            run_clients(&spec, &releases, clients, queries, &expected_knn);
+        all_identical &= identical;
+        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let throughput = (clients * queries) as f64 / wall;
+        let p50 = percentile(&latencies, 0.50);
+        let p99 = percentile(&latencies, 0.99);
+        println!(
+            "evloop  clients = {clients}  {throughput:9.0} req/s  \
+             p50 {:8.1} µs  p99 {:8.1} µs  bit-identical: {identical}",
+            p50 / 1e3,
+            p99 / 1e3,
+        );
+        measurements.push(Measurement {
+            clients,
+            throughput_qps: throughput,
+            p50_ns: p50,
+            p99_ns: p99,
+        });
     }
 
     println!(
@@ -221,7 +206,7 @@ fn main() {
         (
             "note".to_string(),
             JsonValue::String(
-                "single-host record (CI pins 1 CPU): protocol + scheduling overhead, \
+                "single-host record, two event loops: protocol + scheduling overhead, \
                  not scale-out"
                     .to_string(),
             ),
@@ -241,7 +226,7 @@ fn main() {
                     .iter()
                     .map(|m| {
                         JsonValue::Object(vec![
-                            ("mode".to_string(), JsonValue::String(m.mode.to_string())),
+                            ("mode".to_string(), JsonValue::String("evloop".to_string())),
                             ("clients".to_string(), JsonValue::UInt(m.clients as u64)),
                             (
                                 "throughput_qps".to_string(),

@@ -148,11 +148,8 @@ fn resync_cost(
     let ep_a = Endpoint::Unix(sock_a.clone());
     let ep_b = Endpoint::Unix(sock_b.clone());
     let coord_endpoint = Endpoint::Unix(coord_socket.clone());
-    // Worker A's serve loop polls the shutdown flag on a short conn
-    // timeout so the in-process "kill" (a direct Shutdown) completes.
     let worker_a = Server::bind(ep_a.clone(), QueryEngine::new(SketchStore::adopting()))
-        .expect("bind worker a")
-        .with_conn_timeout(Some(Duration::from_millis(200)));
+        .expect("bind worker a");
     let worker_b = Server::bind(ep_b.clone(), QueryEngine::new(SketchStore::adopting()))
         .expect("bind worker b");
     let timeout = Duration::from_secs(120);

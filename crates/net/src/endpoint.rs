@@ -71,20 +71,6 @@ impl Conn {
         }
     }
 
-    /// Set (or clear) the write timeout of the underlying socket — the
-    /// other half of the wedged-peer guard: a peer that stops draining
-    /// its socket fails our blocked write within the deadline instead
-    /// of pinning the writing thread forever.
-    ///
-    /// # Errors
-    /// Propagates socket option failures.
-    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.set_write_timeout(timeout),
-            Self::Unix(s) => s.set_write_timeout(timeout),
-        }
-    }
-
     /// Switch the socket between blocking and nonblocking mode (the
     /// reactor runs every accepted connection nonblocking).
     ///

@@ -27,13 +27,21 @@
 //! Every connection carries a write buffer bounded by
 //! [`NetConfig::write_budget`]. A connection whose buffer is above the
 //! budget stops being *read* (its `POLLIN` interest is dropped) until
-//! the peer drains it — a slow reader throttles only itself. A single
-//! reply too large to ever fit the budget is replaced by the service's
+//! the peer drains it — a slow reader throttles only itself. A reply
+//! too large to ever fit the budget is replaced by the service's
 //! [`FrameService::busy_payload`] (the sketch protocol's `ERR_BUSY`),
 //! and a connection arriving past [`NetConfig::max_conns`] is sent the
-//! same frame best-effort and dropped. Overloaded requests are **not**
-//! executed half-way: the busy substitution happens before any bytes
-//! of the oversized reply are queued.
+//! same frame best-effort and dropped. The default budget admits any
+//! frame up to [`NetConfig::max_frame_len`].
+//!
+//! ## Streamed replies
+//!
+//! A reply larger than the budget can still go out as a pulled
+//! [`FrameStream`] ([`ServiceReply::stream`]): the loop pulls the next
+//! frame only when the connection's write buffer has drained empty, so
+//! the stream holds at most one frame in memory, and the connection's
+//! next request waits until the stream ends. A single pulled frame
+//! larger than the budget ends the stream with the busy frame.
 
 pub mod endpoint;
 pub mod reactor;
@@ -41,5 +49,5 @@ pub mod stats;
 mod sys;
 
 pub use endpoint::{connect, connect_with_timeout, Conn, Endpoint, Listener};
-pub use reactor::{serve_loop, Control, FrameService, NetConfig, ServiceReply};
+pub use reactor::{serve_loop, Control, FrameService, FrameStream, NetConfig, ServiceReply};
 pub use stats::{ReactorCounters, ReactorStats};

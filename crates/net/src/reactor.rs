@@ -15,6 +15,12 @@
 //! design trade: queries against an immutable snapshot are pure CPU,
 //! and N loops give N concurrent computations without any
 //! thread-per-connection overhead.
+//!
+//! A reply may end in a **pulled stream** ([`ServiceReply::stream`]):
+//! the loop asks the producer for its next frame only once the
+//! connection's write buffer has drained empty, so a multi-megabyte
+//! answer occupies at most one frame of memory at a time, and the
+//! connection's next request is not read until the stream ends.
 
 use crate::endpoint::{Conn, Listener};
 use crate::stats::ReactorStats;
@@ -41,12 +47,19 @@ pub enum Control {
     Shutdown,
 }
 
+/// An owned producer of reply payloads, pulled one frame at a time.
+pub type FrameStream = Box<dyn Iterator<Item = Vec<u8>>>;
+
 /// Reply frames plus connection disposition.
-#[derive(Debug)]
 pub struct ServiceReply {
     /// Response payloads, queued in order; the reactor adds each
     /// frame's `u32 LE` length prefix.
     pub frames: Vec<Vec<u8>>,
+    /// Further payloads after `frames`, pulled one at a time whenever
+    /// the write buffer drains empty. The connection's next request
+    /// waits until the stream ends; the producer is dropped when the
+    /// connection closes or the reactor shuts down.
+    pub stream: Option<FrameStream>,
     /// What happens to the connection afterwards.
     pub control: Control,
 }
@@ -57,6 +70,17 @@ impl ServiceReply {
     pub fn reply(payload: Vec<u8>) -> Self {
         Self {
             frames: vec![payload],
+            stream: None,
+            control: Control::Continue,
+        }
+    }
+
+    /// A pulled stream of reply frames, keep the connection.
+    #[must_use]
+    pub fn stream(frames: FrameStream) -> Self {
+        Self {
+            frames: Vec::new(),
+            stream: Some(frames),
             control: Control::Continue,
         }
     }
@@ -93,8 +117,10 @@ pub struct NetConfig {
     /// than this — framing can never resynchronize past it.
     pub max_frame_len: usize,
     /// Per-connection write-buffer budget. Above it the connection is
-    /// not read (backpressure); a single reply larger than it is
-    /// replaced by the busy frame.
+    /// not read (backpressure); a reply's eager frames larger than it
+    /// together, or a single pulled stream frame larger than it, are
+    /// replaced by the busy frame. The default admits any frame up to
+    /// `max_frame_len`.
     pub write_budget: usize,
     /// Open-connection cap across all loops sharing the stats; beyond
     /// it new connections get the busy frame and are dropped.
@@ -111,9 +137,10 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> Self {
+        let max_frame_len = 64 << 20;
         Self {
-            max_frame_len: 64 << 20,
-            write_budget: 8 << 20,
+            max_frame_len,
+            write_budget: max_frame_len + 4,
             max_conns: 1024,
             tick: Duration::from_millis(50),
             idle_timeout: None,
@@ -125,6 +152,11 @@ impl Default for NetConfig {
 /// replies before dropping the connections mid-stream.
 const DRAIN_TICKS: u32 = 20;
 
+/// Stream bytes one flush may pull before yielding the loop to its
+/// other connections, so a fast reader of a long stream cannot starve
+/// them.
+const STREAM_SLICE: usize = 1 << 20;
+
 struct ConnState {
     conn: Conn,
     /// Reactor-wide unique id, handed to the service with every frame.
@@ -134,6 +166,9 @@ struct ConnState {
     /// Bytes queued to send; `wpos` already sent.
     wbuf: Vec<u8>,
     wpos: usize,
+    /// The unfinished tail of a streamed reply; while set, no further
+    /// request is processed.
+    stream: Option<FrameStream>,
     /// Flush `wbuf`, then close.
     closing: bool,
     /// Transport failure or protocol violation: drop immediately.
@@ -151,6 +186,7 @@ impl ConnState {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
+            stream: None,
             closing: false,
             dead: false,
             last_activity: Instant::now(),
@@ -170,29 +206,55 @@ impl ConnState {
         self.wbuf.extend_from_slice(payload);
     }
 
-    /// Write as much of `wbuf` as the socket accepts right now.
-    fn flush(&mut self) {
-        while self.wpos < self.wbuf.len() {
-            match self.conn.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return;
+    /// Write as much of `wbuf` as the socket accepts right now, pulling
+    /// the next stream frame each time it drains empty.
+    fn flush(&mut self, service: &dyn FrameService, config: &NetConfig, stats: &ReactorStats) {
+        let mut pulled = 0usize;
+        loop {
+            while self.wpos < self.wbuf.len() {
+                match self.conn.write(&self.wbuf[self.wpos..]) {
+                    Ok(0) => {
+                        self.dead = true;
+                        return;
+                    }
+                    Ok(n) => self.wpos += n,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => {
+                        self.dead = true;
+                        return;
+                    }
                 }
             }
-        }
-        if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             self.wpos = 0;
-            if self.closing {
-                self.dead = true;
+            if self.stream.is_none() {
+                break;
             }
+            if pulled >= STREAM_SLICE {
+                // Yield the loop to its other connections; the pending
+                // stream keeps POLLOUT interest, so the pull resumes on
+                // the next turn.
+                return;
+            }
+            let Some(frame) = self.stream.as_mut().and_then(Iterator::next) else {
+                self.stream = None;
+                break;
+            };
+            pulled += 4 + frame.len();
+            stats.frames_out(1);
+            if 4 + frame.len() > config.write_budget {
+                // A frame that can never fit ends the stream with the
+                // busy frame, keeping the peer's framing in step.
+                self.stream = None;
+                stats.busy_rejection();
+                self.queue_frame(&service.busy_payload());
+            } else {
+                self.queue_frame(&frame);
+            }
+        }
+        if self.closing {
+            self.dead = true;
         }
     }
 
@@ -229,7 +291,7 @@ impl ConnState {
     ) -> bool {
         let mut pos = 0;
         let mut shutdown = false;
-        while !self.closing && !self.dead {
+        while !self.closing && !self.dead && self.stream.is_none() {
             if self.pending() > config.write_budget {
                 // Backpressure: leave the rest of the input buffered
                 // until the peer drains our replies.
@@ -266,6 +328,7 @@ impl ConnState {
                     self.queue_frame(frame);
                 }
                 stats.frames_out(reply.frames.len() as u64);
+                self.stream = reply.stream;
             }
             match reply.control {
                 Control::Continue => {}
@@ -299,7 +362,7 @@ fn accept_ready(
                     let _ = conn.set_nonblocking(true);
                     let mut state = ConnState::new(conn);
                     state.queue_frame(&service.busy_payload());
-                    state.flush();
+                    state.flush(service, config, stats);
                     // Dropped regardless of how much was written: an
                     // overloaded reactor spends no further effort here.
                     continue;
@@ -341,10 +404,12 @@ pub fn serve_loop(
     loop {
         let shutting_down = shutdown.load(Ordering::SeqCst);
         if shutting_down {
-            // Stop accepting; flush what's queued, then leave. A peer
-            // that won't drain its socket gets DRAIN_TICKS of grace.
+            // Stop accepting and abandon unfinished streams; flush
+            // what's queued, then leave. A peer that won't drain its
+            // socket gets DRAIN_TICKS of grace.
             for c in &mut conns {
                 c.closing = true;
+                c.stream = None;
                 if c.pending() == 0 {
                     c.dead = true;
                 }
@@ -374,10 +439,10 @@ pub fn serve_loop(
         });
         for c in &conns {
             let mut events = 0i16;
-            if !c.closing && c.pending() <= config.write_budget {
+            if !c.closing && c.stream.is_none() && c.pending() <= config.write_budget {
                 events |= POLLIN;
             }
-            if c.pending() > 0 {
+            if c.pending() > 0 || c.stream.is_some() {
                 events |= POLLOUT;
             }
             fds.push(PollFd {
@@ -402,14 +467,19 @@ pub fn serve_loop(
                 c.last_activity = Instant::now();
             }
             if fd.revents & POLLOUT != 0 {
-                c.flush();
+                c.flush(service, config, stats);
             }
-            if fd.revents & (POLLIN | POLLHUP) != 0 && !c.dead && !c.closing {
+            let readable = fd.revents & (POLLIN | POLLHUP) != 0;
+            if readable && !c.dead && !c.closing {
                 c.fill(&mut scratch);
+            }
+            // Requests pipelined behind a stream sit in `rbuf` with no
+            // new POLLIN to announce them once the stream ends.
+            if (readable || !c.rbuf.is_empty()) && !c.dead && !c.closing && c.stream.is_none() {
                 ask_shutdown |= c.process(service, config, stats);
                 // Opportunistic first write: most replies fit the
                 // socket buffer, saving a poll round trip.
-                c.flush();
+                c.flush(service, config, stats);
             }
         }
         if ask_shutdown {
@@ -445,7 +515,9 @@ mod tests {
 
     /// Echoes each payload back; `b"quit"` shuts the reactor down,
     /// `b"close"` closes the connection, `b"big"` answers with a 1 MiB
-    /// frame (for budget tests).
+    /// frame (for budget tests), `b"stream"` with 64 pulled 100-byte
+    /// frames, and `b"stream-big"` with a pulled stream whose middle
+    /// frame is 2 KiB.
     struct Echo;
 
     impl FrameService for Echo {
@@ -453,13 +525,19 @@ mod tests {
             match payload {
                 b"quit" => ServiceReply {
                     frames: vec![b"bye".to_vec()],
+                    stream: None,
                     control: Control::Shutdown,
                 },
                 b"close" => ServiceReply {
                     frames: vec![b"closed".to_vec()],
+                    stream: None,
                     control: Control::Close,
                 },
                 b"big" => ServiceReply::reply(vec![0xAB; 1 << 20]),
+                b"stream" => ServiceReply::stream(Box::new((0..64u8).map(|i| vec![i; 100]))),
+                b"stream-big" => ServiceReply::stream(Box::new(
+                    [vec![1u8; 8], vec![2u8; 2048], vec![3u8; 8]].into_iter(),
+                )),
                 other => ServiceReply::reply(other.to_vec()),
             }
         }
@@ -555,6 +633,102 @@ mod tests {
     }
 
     #[test]
+    fn pulled_stream_outgrows_the_budget_and_pipelined_requests_wait() {
+        let config = NetConfig {
+            write_budget: 1024,
+            ..NetConfig::default()
+        };
+        let (endpoint, shared, handle) = spawn_reactor(config);
+        let mut conn = connect(&endpoint).unwrap();
+        // 64 × 104 bytes is over six budgets; a request pipelined in the
+        // same write must be answered only after the whole stream.
+        let mut batch = frame(b"stream");
+        batch.extend_from_slice(&frame(b"after"));
+        conn.write_all(&batch).unwrap();
+        for i in 0..64u8 {
+            assert_eq!(read_exact_frame(&mut conn), [i; 100], "stream frame {i}");
+        }
+        assert_eq!(read_exact_frame(&mut conn), b"after");
+        // A pulled frame that can never fit ends its stream with the
+        // busy frame; the connection stays in step and keeps serving.
+        conn.write_all(&frame(b"stream-big")).unwrap();
+        assert_eq!(read_exact_frame(&mut conn), [1u8; 8]);
+        assert_eq!(read_exact_frame(&mut conn), b"BUSY");
+        conn.write_all(&frame(b"still here")).unwrap();
+        assert_eq!(read_exact_frame(&mut conn), b"still here");
+        conn.write_all(&frame(b"quit")).unwrap();
+        assert_eq!(read_exact_frame(&mut conn), b"bye");
+        handle.join().unwrap();
+        let counters = shared.1.snapshot();
+        assert_eq!(counters.frames_in, 5);
+        // 64 + after + 2 of stream-big (the busy frame replaces the
+        // second) + still here + bye.
+        assert_eq!(counters.frames_out, 64 + 1 + 2 + 1 + 1);
+        assert_eq!(counters.busy_rejections, 1);
+    }
+
+    #[test]
+    fn stream_is_pulled_only_as_the_socket_drains() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
+
+        /// 256 frames of 64 KiB, counting every frame pulled.
+        struct Counting(Arc<AtomicUsize>);
+
+        impl FrameService for Counting {
+            fn handle_frame(&self, _conn: u64, payload: &[u8]) -> ServiceReply {
+                if payload == b"quit" {
+                    return ServiceReply {
+                        frames: vec![b"bye".to_vec()],
+                        stream: None,
+                        control: Control::Shutdown,
+                    };
+                }
+                let pulled = Arc::clone(&self.0);
+                ServiceReply::stream(Box::new((0..256u32).map(move |i| {
+                    pulled.fetch_add(1, Ordering::SeqCst);
+                    vec![i as u8; 64 << 10]
+                })))
+            }
+
+            fn busy_payload(&self) -> Vec<u8> {
+                b"BUSY".to_vec()
+            }
+        }
+
+        let pulled = Arc::new(AtomicUsize::new(0));
+        let service = Counting(Arc::clone(&pulled));
+        let path = std::env::temp_dir().join(format!("dp-net-pull-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let endpoint = Endpoint::Unix(path.clone());
+        let listener = Listener::bind(&endpoint).unwrap();
+        let shutdown = AtomicBool::new(false);
+        let stats = ReactorStats::new();
+        let config = NetConfig::default();
+        let mut ahead = 0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve_loop(&listener, &service, &config, &shutdown, &stats).unwrap());
+            let mut conn = connect(&endpoint).unwrap();
+            conn.write_all(&frame(b"stream")).unwrap();
+            // Not reading: the loop may only run ahead by what the
+            // socket buffers absorb, never the whole 16 MiB stream.
+            std::thread::sleep(Duration::from_millis(300));
+            ahead = pulled.load(Ordering::SeqCst);
+            for i in 0..256u32 {
+                assert_eq!(read_exact_frame(&mut conn), vec![i as u8; 64 << 10]);
+            }
+            conn.write_all(&frame(b"quit")).unwrap();
+            assert_eq!(read_exact_frame(&mut conn), b"bye");
+        });
+        assert!(
+            (1..=16).contains(&ahead),
+            "pulled {ahead} of 256 frames unread"
+        );
+        assert_eq!(pulled.load(Ordering::SeqCst), 256);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn connection_cap_rejects_with_busy() {
         let config = NetConfig {
             max_conns: 1,
@@ -642,6 +816,7 @@ mod tests {
                 match payload {
                     b"quit" => ServiceReply {
                         frames: vec![b"bye".to_vec()],
+                        stream: None,
                         control: Control::Shutdown,
                     },
                     other => ServiceReply::reply(other.to_vec()),

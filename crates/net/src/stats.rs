@@ -13,9 +13,11 @@ pub struct ReactorStats {
     accepted: AtomicU64,
     /// Complete request frames handed to the service.
     frames_in: AtomicU64,
-    /// Response frames queued for transmission.
+    /// Response frames queued for transmission, each pulled stream
+    /// frame included.
     frames_out: AtomicU64,
-    /// Busy substitutions: replies over the write budget plus
+    /// Busy substitutions: replies or stream frames over the write
+    /// budget plus
     /// connections rejected at the connection cap.
     busy_rejections: AtomicU64,
 }
@@ -27,45 +29,41 @@ impl ReactorStats {
         Self::default()
     }
 
-    // The mutators are public so an embedder running a *non-reactor*
-    // transport (e.g. a thread-per-connection fallback mode) can feed
-    // the same counters and present one uniform stats surface.
-
     /// Record an accepted, now-open connection.
-    pub fn conn_opened(&self) {
+    pub(crate) fn conn_opened(&self) {
         self.open.fetch_add(1, Ordering::Relaxed);
         self.accepted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a connection rejected at the connection cap.
-    pub fn conn_rejected(&self) {
+    pub(crate) fn conn_rejected(&self) {
         self.accepted.fetch_add(1, Ordering::Relaxed);
         self.busy_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record an open connection closing.
-    pub fn conn_closed(&self) {
+    pub(crate) fn conn_closed(&self) {
         self.open.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Record one complete request frame handed to the service.
-    pub fn frame_in(&self) {
+    pub(crate) fn frame_in(&self) {
         self.frames_in.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record `count` response frames queued for transmission.
-    pub fn frames_out(&self, count: u64) {
+    pub(crate) fn frames_out(&self, count: u64) {
         self.frames_out.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Record a reply substituted by the busy frame.
-    pub fn busy_rejection(&self) {
+    pub(crate) fn busy_rejection(&self) {
         self.busy_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Currently open connections.
     #[must_use]
-    pub fn open_connections(&self) -> usize {
+    pub(crate) fn open_connections(&self) -> usize {
         self.open.load(Ordering::Relaxed)
     }
 

@@ -1,9 +1,8 @@
 //! Multi-process chaos smoke: SIGKILL workers *and the coordinator*,
 //! assert nothing ever answers wrong by a single bit.
 //!
-//! Drives real `dp-server` *processes* (path to the binary as the first
-//! argument, serve mode — `threads` or `evloop` — as the optional
-//! second) through the full fault-tolerance story:
+//! Drives real `dp-server` *processes* (path to the binary as the only
+//! argument) through the full fault-tolerance story:
 //!
 //! 1. two workers + a durable coordinator (`--data-dir`, compaction
 //!    threshold 8) come up; releases are ingested and the sharded
@@ -29,7 +28,7 @@
 //! ```text
 //! cargo build --release -p dp-server
 //! cargo run --release -p dp-server --example chaos_smoke -- \
-//!     ./target/release/dp-server threads
+//!     ./target/release/dp-server
 //! ```
 
 use dp_core::config::SketchConfig;
@@ -53,31 +52,21 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn spawn_worker(bin: &str, socket: &Path, mode: &str) -> Child {
-    // Two accept loops: one for the coordinator's pooled connection,
-    // one for this harness's direct verification probes.
+fn spawn_worker(bin: &str, socket: &Path) -> Child {
     Command::new(bin)
         .args(["--listen", &format!("unix:{}", socket.display())])
         .args(["--workers", "2"])
-        .args(["--serve-mode", mode])
         .spawn()
         .expect("spawn worker dp-server")
 }
 
-fn spawn_coordinator(
-    bin: &str,
-    socket: &Path,
-    worker_sockets: &[&Path],
-    mode: &str,
-    data_dir: &Path,
-) -> Child {
+fn spawn_coordinator(bin: &str, socket: &Path, worker_sockets: &[&Path], data_dir: &Path) -> Child {
     let mut command = Command::new(bin);
     command
         .args(["--listen", &format!("unix:{}", socket.display())])
         .args(["--workers", "1"])
         .args(["--shard-tile", "4"])
         .args(["--worker-timeout", "2"])
-        .args(["--serve-mode", mode])
         .args(["--data-dir", &data_dir.display().to_string()])
         .args(["--compact-threshold", "8"]);
     for socket in worker_sockets {
@@ -126,9 +115,6 @@ fn main() {
     let bin = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "./target/release/dp-server".to_string());
-    let mode = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "threads".to_string());
 
     let sock_w1 = scratch_socket("w1");
     let sock_w2 = scratch_socket("w2");
@@ -177,9 +163,9 @@ fn main() {
     let local_17 = reference.pairwise_all().as_flat().to_vec();
 
     // Phase 0: two worker processes + a durable coordinator process.
-    let mut w1 = spawn_worker(&bin, &sock_w1, &mode);
-    let mut w2 = spawn_worker(&bin, &sock_w2, &mode);
-    let mut coord = spawn_coordinator(&bin, &sock_coord, &[&sock_w1, &sock_w2], &mode, &data_dir);
+    let mut w1 = spawn_worker(&bin, &sock_w1);
+    let mut w2 = spawn_worker(&bin, &sock_w2);
+    let mut coord = spawn_coordinator(&bin, &sock_coord, &[&sock_w1, &sock_w2], &data_dir);
 
     let coord_endpoint = Endpoint::Unix(sock_coord.clone());
     let mut client = connect_retry(&coord_endpoint, "coordinator");
@@ -217,9 +203,9 @@ fn main() {
     // replay — not full-history catch-up. Ask the restarted replica
     // directly to prove it holds every row.
     let _ = std::fs::remove_file(&sock_w1);
-    let mut w1b = spawn_worker(&bin, &sock_w1, &mode);
+    let mut w1b = spawn_worker(&bin, &sock_w1);
     let probe = connect_retry(&Endpoint::Unix(sock_w1.clone()), "restarted worker 1");
-    drop(probe); // frees the accept slot for the coordinator's revival
+    drop(probe);
     client.ingest(&last[1]).expect("ingest before revival");
     let (_, values) = client.pairwise(&[]).expect("pairwise after restart");
     assert_bits(&values, &local_17, "query after restart + resync");
@@ -236,7 +222,7 @@ fn main() {
     coord.kill().expect("SIGKILL coordinator");
     coord.wait().expect("reap coordinator");
     let _ = std::fs::remove_file(&sock_coord);
-    let mut coord2 = spawn_coordinator(&bin, &sock_coord, &[&sock_w1, &sock_w2], &mode, &data_dir);
+    let mut coord2 = spawn_coordinator(&bin, &sock_coord, &[&sock_w1, &sock_w2], &data_dir);
     let mut client = connect_retry(&coord_endpoint, "recovered coordinator");
     client
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -261,7 +247,6 @@ fn main() {
         .args(["--workers", "1"])
         .args(["--shard-tile", "4"])
         .args(["--worker-timeout", "2"])
-        .args(["--serve-mode", &mode])
         .args(["--data-dir", &standby_dir.display().to_string()])
         .args(["--compact-threshold", "8"])
         .spawn()
@@ -292,5 +277,5 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&data_dir);
     let _ = std::fs::remove_dir_all(&standby_dir);
-    println!("chaos_smoke: PASS ({mode} mode)");
+    println!("chaos_smoke: PASS");
 }

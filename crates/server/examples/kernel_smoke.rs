@@ -74,8 +74,8 @@ fn main() {
     let spec_v2 = spec_v1.clone().with_kernel(KernelId::V2Simd);
     std::fs::write(&spec_file, spec_v2.to_json()).expect("write spec file");
 
-    // Phase 0: a worker preloaded with the v2-simd spec. Two accept
-    // loops: one for the coordinator's pooled connection, one for this
+    // Phase 0: a worker preloaded with the v2-simd spec, on two event
+    // loops shared by the coordinator's pooled connection and this
     // harness's direct probes.
     let mut worker = Command::new(&bin)
         .args(["--listen", &format!("unix:{}", sock_worker.display())])
@@ -144,7 +144,7 @@ fn main() {
             })
             .expect("batch ingest into worker");
     }
-    drop(probe); // frees the accept slot for the recount probe
+    drop(probe);
     let mut recount = connect_retry(&worker_endpoint, "worker recount");
     recount
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -155,7 +155,7 @@ fn main() {
         rows_data.len() as u64,
         "batch-ingested rows not visible"
     );
-    drop(recount); // frees the accept slot for the coordinator's pool
+    drop(recount);
     println!(
         "kernel_smoke: batch sketches byte-identical to per-row in both lanes, bulk ingest visible"
     );

@@ -18,16 +18,13 @@
 //! thread by one atomic epoch load — the hot read path acquires **no
 //! lock** and runs concurrently with ingest and with other reads.
 //!
-//! Two serve modes drive the same request brain ([`ServeMode`]):
-//!
-//! * **Threads** — a fixed pool of blocking accept/serve loops, one
-//!   connection per thread. Accepted sockets carry the configured
-//!   read/write timeouts ([`Server::with_conn_timeout`]) so a half-open
-//!   client cannot pin its worker thread forever.
-//! * **EvLoop** — `dp_net`'s poll-driven nonblocking reactor: the same
-//!   thread count runs event loops over a shared listener, with
-//!   per-connection buffers, write backpressure, and a typed
-//!   [`dp_core::protocol::ERR_BUSY`] overload answer.
+//! One transport drives it: [`Server::serve`] runs `dp_net`'s
+//! poll-driven nonblocking reactor, N event loops over a shared
+//! listener, with per-connection buffers, write backpressure, and a
+//! typed [`dp_core::protocol::ERR_BUSY`] overload answer. The bulk
+//! replies — tile streams and snapshot fetches — go out as pulled
+//! streams, one frame in memory at a time, so a reply of any size is
+//! served without buffering it whole.
 //!
 //! ```text
 //! client ──frames──▶ Server ──▶ SharedEngine ──▶ EngineSnapshot (reads)
@@ -53,7 +50,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -314,7 +311,7 @@ fn split_ids(plan: &TilePlan, ids: &[u64], shards: usize) -> Vec<Vec<u64>> {
 
 impl Shards {
     /// Lock worker `w`'s slot, recovering from a poisoned mutex: a
-    /// connection thread that panicked mid-exchange leaves the stream
+    /// thread that panicked mid-exchange leaves the stream
     /// in an unknown state, so the slot content is discarded (the
     /// worker revives like any other failure) and the mutex healed.
     fn slot_lock(&self, w: usize) -> MutexGuard<'_, Option<PooledWorker>> {
@@ -330,7 +327,7 @@ impl Shards {
     /// Lock the gather cache, recovering from a poisoned mutex. The
     /// cache is pure (recomputable from the store), so recovery is
     /// simply discarding possibly-torn contents — a panicking
-    /// connection thread must never turn every later `Pairwise([])`
+    /// thread must never turn every later `Pairwise([])`
     /// into a panic.
     fn cache_lock(&self) -> MutexGuard<'_, Option<(usize, Vec<f64>)>> {
         self.gathered.lock().unwrap_or_else(|poison| {
@@ -749,38 +746,10 @@ fn worker_error(message: String) -> Response {
     }
 }
 
-/// How [`Server::serve_mode`] drives connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeMode {
-    /// One blocking thread per connection from a fixed accept pool —
-    /// the original model, kept as a fallback and as the reference for
-    /// bit-identity tests.
-    #[default]
-    Threads,
-    /// `dp_net`'s poll-driven nonblocking reactor: the same thread
-    /// count runs event loops over one shared listener; slow or wedged
-    /// clients cost a buffer, never a thread.
-    EvLoop,
-}
-
-impl ServeMode {
-    /// Parse `threads` or `evloop` (the `--serve-mode` values).
-    ///
-    /// # Errors
-    /// A human-readable message on anything else.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "threads" => Ok(Self::Threads),
-            "evloop" => Ok(Self::EvLoop),
-            other => Err(format!("serve mode '{other}' must be threads or evloop")),
-        }
-    }
-}
-
 /// A point-in-time view of every counter the server keeps
-/// ([`Server::stats`]): the published snapshot epoch, the transport
-/// counters (fed by both serve modes), and — in coordinator mode — the
-/// fault-tolerance counters.
+/// ([`Server::stats`]): the published snapshot epoch, the reactor's
+/// transport counters, and — in coordinator mode — the fault-tolerance
+/// counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
     /// Epoch of the latest published [`EngineSnapshot`] (strictly
@@ -809,18 +778,11 @@ pub struct Server {
     /// lock-free against published snapshots, mutations serialize.
     shared: SharedEngine,
     shutdown: AtomicBool,
-    /// Blocking accept loops currently running — the number of wake-up
-    /// connections a thread-mode shutdown must make to unblock them.
-    active_workers: AtomicUsize,
     /// The coordinator role's worker pool, when in coordinator mode.
     shards: Option<Shards>,
-    /// Reactor tuning (event-loop mode); the frame-length cap also
-    /// bounds thread-mode replies via the shared encode path.
+    /// Reactor tuning: frame cap, write budget, connection cap, tick.
     net: dp_net::NetConfig,
-    /// Read/write timeouts applied to thread-mode accepted sockets, so
-    /// a half-open client cannot pin its serving thread forever.
-    conn_timeout: Option<Duration>,
-    /// Transport counters, fed by both serve modes.
+    /// Transport counters, shared by every event loop.
     reactor_stats: dp_net::ReactorStats,
 }
 
@@ -838,26 +800,14 @@ impl Server {
             listener,
             shared: SharedEngine::new(engine),
             shutdown: AtomicBool::new(false),
-            active_workers: AtomicUsize::new(0),
             shards: None,
             net: dp_net::NetConfig::default(),
-            conn_timeout: None,
             reactor_stats: dp_net::ReactorStats::new(),
         })
     }
 
-    /// Set the read/write timeouts applied to every accepted socket in
-    /// **thread** mode (`None` = never time out, the pre-PR-6
-    /// behavior). Event-loop mode needs no socket timeouts: a wedged
-    /// client there costs a buffer, not a thread.
-    #[must_use]
-    pub fn with_conn_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.conn_timeout = timeout;
-        self
-    }
-
     /// Override the reactor tuning knobs (frame cap, write budget,
-    /// connection cap, tick) used by event-loop mode.
+    /// connection cap, tick).
     #[must_use]
     pub fn with_net_config(mut self, net: NetConfig) -> Self {
         self.net = net;
@@ -1063,8 +1013,8 @@ impl Server {
     }
 
     /// Every counter the server keeps: the published snapshot epoch,
-    /// the transport counters (both serve modes feed the same cells),
-    /// and the coordinator fault-tolerance counters when coordinating.
+    /// the reactor's transport counters, and the coordinator
+    /// fault-tolerance counters when coordinating.
     #[must_use]
     pub fn stats(&self) -> ServerStats {
         ServerStats {
@@ -1074,66 +1024,17 @@ impl Server {
         }
     }
 
-    /// Serve until a [`Request::Shutdown`] arrives, with `workers`
-    /// blocking accept loops on the `dp_parallel` scoped pool
-    /// (`workers` is clamped to at least 1). Equivalent to
-    /// [`Server::serve_mode`] with [`ServeMode::Threads`].
-    pub fn serve(&self, workers: usize) {
-        self.serve_mode(ServeMode::Threads, workers);
-    }
-
-    /// Serve until a [`Request::Shutdown`] arrives, with `workers`
-    /// threads (clamped to at least 1) in the given mode: blocking
-    /// accept loops ([`ServeMode::Threads`]) or nonblocking reactor
-    /// loops over one shared listener ([`ServeMode::EvLoop`]). Both
-    /// modes run the identical request brain, so their answers are
-    /// bit-identical frame for frame.
-    pub fn serve_mode(&self, mode: ServeMode, workers: usize) {
-        let workers = workers.max(1);
-        match mode {
-            ServeMode::Threads => self.serve_threads(workers),
-            ServeMode::EvLoop => self.serve_evloop(workers),
-        }
-        if let Endpoint::Unix(path) = &self.endpoint {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-
-    fn serve_threads(&self, workers: usize) {
-        self.active_workers.store(workers, Ordering::SeqCst);
-        scope_workers(workers, |_| {
-            while !self.shutdown.load(Ordering::SeqCst) {
-                let Ok(conn) = self.listener.accept() else {
-                    break;
-                };
-                if self.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // The wedged-client guard: without timeouts a half-open
-                // peer (or one that never drains its socket) pins this
-                // thread forever, and enough of them starve the accept
-                // pool entirely.
-                if let Some(timeout) = self.conn_timeout {
-                    let _ = conn.set_read_timeout(Some(timeout));
-                    let _ = conn.set_write_timeout(Some(timeout));
-                }
-                self.reactor_stats.conn_opened();
-                self.serve_conn(conn);
-                self.reactor_stats.conn_closed();
-            }
-        });
-        self.active_workers.store(0, Ordering::SeqCst);
-    }
-
-    fn serve_evloop(&self, workers: usize) {
+    /// Serve until a [`Request::Shutdown`] arrives, running `loops`
+    /// event loops (clamped to at least 1) over the shared listener on
+    /// the `dp_parallel` scoped pool. Each loop owns the connections it
+    /// accepts; a slow or wedged client costs a buffer, never a loop.
+    pub fn serve(&self, loops: usize) {
         let service = SnapshotService {
             server: self,
             installs: Mutex::new(BTreeMap::new()),
         };
-        scope_workers(workers, |_| {
-            // Per-loop failures (poll itself failing) end that loop;
-            // the listener teardown below unblocks nothing because
-            // reactor loops never block indefinitely.
+        scope_workers(loops.max(1), |_| {
+            // A loop whose poll(2) fails ends; the others keep serving.
             let _ = serve_loop(
                 &self.listener,
                 &service,
@@ -1142,110 +1043,8 @@ impl Server {
                 &self.reactor_stats,
             );
         });
-        // Leave the listener blocking again so a later thread-mode
-        // serve on the same server accepts normally.
-        let _ = self.listener.set_nonblocking(false);
-    }
-
-    /// Serve one connection (thread mode): one response per request (or
-    /// a part stream for `ExecuteTilesStream`/`FetchSnapshot`; no
-    /// response at all for a staged push-install `SnapshotPart`), until
-    /// the peer hangs up, times out, or asks for shutdown.
-    fn serve_conn(&self, mut conn: Conn) {
-        // Push-install staging: `Request::SnapshotPart` frames
-        // accumulate here (unacknowledged) until the closing
-        // `Request::SnapshotSummary` verifies and installs them.
-        let mut staging: Option<InstallStaging> = None;
-        loop {
-            let payload = match read_frame(&mut conn) {
-                Ok(Some(payload)) => payload,
-                Ok(None) | Err(_) => return,
-            };
-            self.reactor_stats.frame_in();
-            let decoded = decode_request(&payload);
-            match &decoded {
-                Ok(Request::ExecuteTilesStream {
-                    rows,
-                    tile,
-                    tile_ids,
-                }) => {
-                    let snapshot = self.current_snapshot();
-                    let stats = &self.reactor_stats;
-                    let streamed =
-                        stream_tile_frames(&snapshot, *rows, *tile, tile_ids, &mut |bytes| {
-                            stats.frames_out(1);
-                            write_frame(&mut conn, &bytes)
-                        });
-                    if streamed.is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                Ok(Request::FetchSnapshot {
-                    have_rows,
-                    part_len,
-                }) => {
-                    let stats = &self.reactor_stats;
-                    let streamed =
-                        self.stream_snapshot_frames(*have_rows, *part_len, &mut |bytes| {
-                            stats.frames_out(1);
-                            write_frame(&mut conn, &bytes)
-                        });
-                    if streamed.is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                Ok(Request::SnapshotPart { seq, layer, chunk }) => {
-                    if let Err(refusal) = stage_snapshot_part(&mut staging, *seq, *layer, chunk) {
-                        self.reactor_stats.frames_out(1);
-                        if write_frame(&mut conn, &encode_bounded(&refusal)).is_err() {
-                            return;
-                        }
-                    }
-                    continue;
-                }
-                Ok(Request::SnapshotSummary {
-                    generation,
-                    rows,
-                    count,
-                    total_len,
-                    checksum,
-                }) => {
-                    let response = self.finish_snapshot_install(
-                        staging.take(),
-                        *generation,
-                        *rows,
-                        *count,
-                        *total_len,
-                        *checksum,
-                    );
-                    self.reactor_stats.frames_out(1);
-                    if write_frame(&mut conn, &encode_bounded(&response)).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                _ => {}
-            }
-            let (response, bye) = match decoded {
-                Ok(request) => self.handle(&request),
-                Err(e) => (
-                    Response::Error {
-                        code: ERR_MALFORMED,
-                        message: e.to_string(),
-                    },
-                    false,
-                ),
-            };
-            self.reactor_stats.frames_out(1);
-            if write_frame(&mut conn, &encode_bounded(&response)).is_err() {
-                return;
-            }
-            if bye {
-                self.wake_sleeping_workers();
-                return;
-            }
+        if let Endpoint::Unix(path) = &self.endpoint {
+            let _ = std::fs::remove_file(path);
         }
     }
 
@@ -1253,7 +1052,7 @@ impl Server {
     /// cached `Arc`, revalidated by one atomic epoch load
     /// ([`SharedEngine::refresh`]) — on the hot path (epoch unchanged)
     /// no lock is touched at all. The cache is keyed by server address;
-    /// serving threads are scoped inside `serve_mode`, so a cached
+    /// event loops are scoped inside [`Server::serve`], so a cached
     /// entry can never outlive its server (no stale-address reuse).
     fn current_snapshot(&self) -> Arc<EngineSnapshot> {
         thread_local! {
@@ -1277,293 +1076,8 @@ impl Server {
         })
     }
 
-    /// Answer one request against the shared engine. Returns the
-    /// response and whether the connection (and server) should wind
-    /// down.
-    ///
-    /// Mutations run through [`SharedEngine::mutate`] (serialized, and
-    /// publishing a fresh snapshot); every read-only arm answers from a
-    /// published snapshot with no lock on the hot path.
-    fn handle(&self, request: &Request) -> (Response, bool) {
-        // Replicated mutations (coordinator Hello/Ingest) serialize on
-        // the shards' order lock, acquired *before* the engine lock:
-        // the local append, the journal append, and the worker
-        // broadcast form one ordered unit, but the engine lock is
-        // released (inside `mutate`) before the broadcast, so a wedged
-        // worker stalls only other mutations — local queries keep
-        // answering from snapshots.
-        let _order = match (&self.shards, request) {
-            (Some(shards), Request::Hello { .. } | Request::Ingest { .. }) => {
-                Some(shards.order_lock())
-            }
-            _ => None,
-        };
-        let response = match request {
-            Request::Hello { spec_json, .. } => {
-                let response = self.shared.mutate(|engine| hello(engine, spec_json));
-                // A coordinator journals the accepted spec and relays
-                // it (with its own caps) so the worker replicas
-                // negotiate the same store identity. A worker that
-                // fails the relay or echoes a diverged row count is
-                // poisoned — the journal lets it catch up later — but
-                // the client's Hello still succeeds: the coordinator's
-                // local engine is the source of truth.
-                if let (Response::Hello { rows, .. }, Some(shards)) = (&response, &self.shards) {
-                    let rows = *rows;
-                    shards.journal_lock().set_spec(spec_json);
-                    let relay = Request::Hello {
-                        spec_json: spec_json.clone(),
-                        caps: CLIENT_CAPS,
-                    };
-                    shards.broadcast_mutation(
-                        &relay,
-                        &|r| matches!(r, Response::Hello { rows: got, .. } if *got == rows),
-                    );
-                }
-                response
-            }
-            Request::Ingest { release_frame } => {
-                let accepted = self.shared.mutate(|engine| {
-                    engine
-                        .ingest_bytes(release_frame)
-                        .map(|row| (row as u64, engine.store().n() as u64))
-                });
-                match accepted {
-                    Ok((row, rows)) => {
-                        // Journal and broadcast only what the local
-                        // engine accepted — a rejected release never
-                        // reaches a worker. Live workers must echo the
-                        // coordinator's row count (a different echo
-                        // means the replica missed an earlier mutation
-                        // → poisoned, caught up from the journal at the
-                        // next revival); poisoned workers are skipped,
-                        // not waited on. Either way the client's ingest
-                        // succeeds.
-                        if let Some(shards) = &self.shards {
-                            let mut log = shards.journal_lock();
-                            log.append(release_frame.clone());
-                            if log.needs_compaction() {
-                                // Fold the journal into a fresh snapshot.
-                                // The published snapshot reflects this
-                                // ingest (mutate published before we got
-                                // here) and no other mutation can run —
-                                // we hold the order lock — so its row
-                                // count is exactly the log's tip.
-                                let snap = self.shared.snapshot();
-                                let bytes = snap.store().encode_snapshot(snap.generation());
-                                log.install_snapshot(bytes, snap.n(), snap.generation());
-                                log.compactions += 1;
-                                shards.stats.compactions.fetch_add(1, Ordering::SeqCst);
-                                shards
-                                    .stats
-                                    .snapshot_generation
-                                    .store(snap.generation(), Ordering::SeqCst);
-                            }
-                            shards
-                                .stats
-                                .journal_len
-                                .store(log.frames.len() as u64, Ordering::SeqCst);
-                            drop(log);
-                            shards.broadcast_mutation(
-                                request,
-                                &|r| matches!(r, Response::Ingested { rows: got, .. } if *got == rows),
-                            );
-                        }
-                        Response::Ingested { row, rows }
-                    }
-                    Err(e) => error_response(&e),
-                }
-            }
-            Request::Pairwise { parties } => {
-                if parties.is_empty() {
-                    let snapshot = self.current_snapshot();
-                    match &self.shards {
-                        // The quadratic pass fans out across the pool
-                        // (2+ rows; below that the plan has no pairs).
-                        // The snapshot fixes the store geometry with no
-                        // lock at all: a slow worker never blocks other
-                        // clients. The store is append-only, so a
-                        // mid-flight ingest can only surface as a
-                        // worker-side ERR_PLAN.
-                        Some(shards) if snapshot.n() >= 2 && !shards.workers.is_empty() => {
-                            let party_ids = snapshot.store().party_ids().to_vec();
-                            shards.sharded_pairwise(snapshot.n(), party_ids)
-                        }
-                        _ => {
-                            // Warm memo: answer straight off the
-                            // snapshot. Cold: fill the memo through the
-                            // mutation path — which *publishes* a
-                            // snapshot carrying the matrix, so the next
-                            // full-matrix (and top-pairs) reads are
-                            // lock-free again.
-                            let (parties, values) = match snapshot.full_matrix() {
-                                Some(matrix) => (
-                                    snapshot.store().party_ids().to_vec(),
-                                    matrix.as_flat().to_vec(),
-                                ),
-                                None => self.shared.mutate(|engine| {
-                                    (
-                                        engine.store().party_ids().to_vec(),
-                                        engine.pairwise_all().as_flat().to_vec(),
-                                    )
-                                }),
-                            };
-                            Response::Pairwise { parties, values }
-                        }
-                    }
-                } else {
-                    match self.current_snapshot().pairwise(parties) {
-                        Ok(matrix) => Response::Pairwise {
-                            parties: parties.clone(),
-                            values: matrix.into_flat(),
-                        },
-                        Err(e) => error_response(&e),
-                    }
-                }
-            }
-            Request::PlanPairwise { tile } => {
-                let plan = TilePlan::new(self.current_snapshot().n(), *tile as usize);
-                Response::Plan {
-                    rows: plan.n() as u64,
-                    tile: plan.tile() as u32,
-                    tile_count: plan.tile_count() as u64,
-                    pair_count: plan.pair_count() as u64,
-                }
-            }
-            Request::ExecuteTiles {
-                rows,
-                tile,
-                tile_ids,
-            } => {
-                let plan_rows = usize::try_from(*rows).unwrap_or(usize::MAX);
-                match self
-                    .current_snapshot()
-                    .execute_tiles(plan_rows, *tile as usize, tile_ids)
-                {
-                    Ok(segments) => Response::TileResult {
-                        rows: *rows,
-                        tile: *tile,
-                        segments,
-                    },
-                    Err(e) => error_response(&e),
-                }
-            }
-            Request::Knn { party, k } => match self.current_snapshot().knn(*party, *k as usize) {
-                Ok(neighbors) => Response::Knn {
-                    neighbors: neighbors
-                        .into_iter()
-                        .map(|n| (n.party_id, n.estimated_sq_distance))
-                        .collect(),
-                },
-                Err(e) => error_response(&e),
-            },
-            Request::TopPairs { t } => {
-                let pairs = match self.current_snapshot().top_pairs(*t as usize) {
-                    Some(pairs) => pairs,
-                    // Stale memo: fill it through the mutation path
-                    // (publishing a matrix-carrying snapshot).
-                    None => self.shared.mutate(|engine| engine.top_pairs(*t as usize)),
-                };
-                Response::TopPairs { pairs }
-            }
-            Request::ExecuteTilesStream { .. }
-            | Request::FetchSnapshot { .. }
-            | Request::SnapshotPart { .. }
-            | Request::SnapshotSummary { .. } => {
-                // Intercepted at the transport layer (they answer with a
-                // frame stream, or are parts of one); reaching here is a
-                // bug.
-                Response::Error {
-                    code: ERR_INTERNAL,
-                    message: "streamed exchanges are handled at the transport layer".to_string(),
-                }
-            }
-            Request::Shutdown => {
-                // A coordinator winds its worker pool down with it
-                // (best-effort: a dead worker can't block shutdown).
-                if let Some(shards) = &self.shards {
-                    shards.broadcast_mutation(request, &|r| matches!(r, Response::Bye));
-                }
-                self.shutdown.store(true, Ordering::SeqCst);
-                return (Response::Bye, true);
-            }
-        };
-        (response, false)
-    }
-
-    /// Unblock workers stuck in `accept` after shutdown was requested:
-    /// a burst of no-op connections, one per running accept loop.
-    fn wake_sleeping_workers(&self) {
-        for _ in 0..self.active_workers.load(Ordering::SeqCst) {
-            let _ = connect(&self.local_endpoint());
-        }
-    }
-
-    /// The event-loop entry point: decode one request payload and
-    /// answer with encoded reply frames. Shares every code path with
-    /// thread mode ([`Server::handle`], [`stream_tile_frames`],
-    /// [`encode_bounded`]), which is what makes the two modes
-    /// bit-identical frame for frame.
-    fn handle_payload(&self, payload: &[u8]) -> ServiceReply {
-        let decoded = decode_request(payload);
-        if let Ok(Request::ExecuteTilesStream {
-            rows,
-            tile,
-            tile_ids,
-        }) = &decoded
-        {
-            let snapshot = self.current_snapshot();
-            let mut frames = Vec::new();
-            // The emitter is infallible here (it only buffers); the
-            // reactor applies its write budget to the whole reply, so a
-            // stream too large to buffer answers ERR_BUSY instead.
-            let _ = stream_tile_frames(&snapshot, *rows, *tile, tile_ids, &mut |bytes| {
-                frames.push(bytes);
-                Ok(())
-            });
-            return ServiceReply {
-                frames,
-                control: Control::Continue,
-            };
-        }
-        if let Ok(Request::FetchSnapshot {
-            have_rows,
-            part_len,
-        }) = &decoded
-        {
-            let mut frames = Vec::new();
-            let _ = self.stream_snapshot_frames(*have_rows, *part_len, &mut |bytes| {
-                frames.push(bytes);
-                Ok(())
-            });
-            return ServiceReply {
-                frames,
-                control: Control::Continue,
-            };
-        }
-        let (response, bye) = match decoded {
-            Ok(request) => self.handle(&request),
-            Err(e) => (
-                Response::Error {
-                    code: ERR_MALFORMED,
-                    message: e.to_string(),
-                },
-                false,
-            ),
-        };
-        ServiceReply {
-            frames: vec![encode_bounded(&response)],
-            control: if bye {
-                Control::Shutdown
-            } else {
-                Control::Continue
-            },
-        }
-    }
-
-    /// Produce one `FetchSnapshot` answer as encoded frames: what a
-    /// replica holding `have_rows` rows is missing, as the cheapest
-    /// layered stream —
+    /// Answer one `FetchSnapshot`: what a replica holding `have_rows`
+    /// rows is missing, as the cheapest layered stream —
     ///
     /// * `have_rows ≥ base`: the journal **suffix** only, one
     ///   [`SNAPSHOT_LAYER_JOURNAL`] part per missing frame;
@@ -1578,14 +1092,10 @@ impl Server {
     /// claiming more rows than the coordinator's tip gets a typed
     /// `ERR_PLAN` refusal — it diverged, and guessing would be worse.
     ///
-    /// # Errors
-    /// Only what `emit` returns (transport failures in thread mode).
-    fn stream_snapshot_frames(
-        &self,
-        have_rows: u64,
-        part_len: u32,
-        emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
-    ) -> io::Result<()> {
+    /// The parts are collected under the journal lock (one copy of the
+    /// snapshot image and the suffix frames); the stream owns them and
+    /// encodes one part per pull.
+    fn snapshot_frames(&self, have_rows: u64, part_len: u32) -> ServiceReply {
         let part_len = if part_len == 0 {
             DEFAULT_SNAPSHOT_PART_LEN
         } else {
@@ -1593,74 +1103,77 @@ impl Server {
         };
         let snapshot = self.current_snapshot();
         let generation = snapshot.generation();
-        let (rows, parts): (u64, Vec<(u8, Vec<u8>)>) = match &self.shards {
+        let (rows, image, journal): (u64, Vec<u8>, Vec<Vec<u8>>) = match &self.shards {
             Some(shards) => {
                 let log = shards.journal_lock();
                 let tip = log.tip() as u64;
                 if have_rows > tip {
-                    let refusal = Response::Error {
+                    return ServiceReply::reply(encode_bounded(&Response::Error {
                         code: ERR_PLAN,
                         message: format!(
                             "replica claims {have_rows} rows but the log tip is {tip} — \
                              diverged ahead"
                         ),
-                    };
-                    return emit(encode_bounded(&refusal));
+                    }));
                 }
-                let mut parts = Vec::new();
                 if (have_rows as usize) < log.base {
-                    let Some(snapshot) = &log.snapshot else {
-                        let refusal = Response::Error {
+                    let Some(image) = log.snapshot.clone() else {
+                        return ServiceReply::reply(encode_bounded(&Response::Error {
                             code: ERR_INTERNAL,
                             message: "log has a non-zero base but no snapshot".to_string(),
-                        };
-                        return emit(encode_bounded(&refusal));
+                        }));
                     };
-                    for chunk in snapshot.chunks(part_len) {
-                        parts.push((SNAPSHOT_LAYER_STORE, chunk.to_vec()));
-                    }
-                    for frame in &log.frames {
-                        parts.push((SNAPSHOT_LAYER_JOURNAL, frame.clone()));
-                    }
+                    (tip, image, log.frames.clone())
                 } else {
-                    for frame in &log.frames[(have_rows as usize - log.base)..] {
-                        parts.push((SNAPSHOT_LAYER_JOURNAL, frame.clone()));
-                    }
+                    let suffix = log.frames[(have_rows as usize - log.base)..].to_vec();
+                    (tip, Vec::new(), suffix)
                 }
-                (tip, parts)
             }
             None => {
                 let n = snapshot.n() as u64;
                 if have_rows >= n {
-                    (n, Vec::new())
+                    (n, Vec::new(), Vec::new())
                 } else {
-                    let bytes = snapshot.store().encode_snapshot(generation);
-                    let parts = bytes
-                        .chunks(part_len)
-                        .map(|chunk| (SNAPSHOT_LAYER_STORE, chunk.to_vec()))
-                        .collect();
-                    (n, parts)
+                    (n, snapshot.store().encode_snapshot(generation), Vec::new())
                 }
             }
         };
+        let mut offset = 0usize;
+        let mut journal = journal.into_iter();
+        let mut seq = 0u64;
         let mut checksum = FNV1A64_INIT;
         let mut total_len = 0u64;
-        let count = parts.len() as u64;
-        for (seq, (layer, chunk)) in parts.into_iter().enumerate() {
-            let seq = seq as u64;
+        let mut done = false;
+        ServiceReply::stream(Box::new(std::iter::from_fn(move || {
+            if done {
+                return None;
+            }
+            let (layer, chunk) = if offset < image.len() {
+                let end = image.len().min(offset + part_len);
+                let chunk = image[offset..end].to_vec();
+                offset = end;
+                (SNAPSHOT_LAYER_STORE, chunk)
+            } else if let Some(frame) = journal.next() {
+                (SNAPSHOT_LAYER_JOURNAL, frame)
+            } else {
+                done = true;
+                let summary = Response::SnapshotSummary {
+                    generation,
+                    rows,
+                    count: seq,
+                    total_len,
+                    checksum,
+                };
+                return Some(encode_bounded(&summary));
+            };
             checksum = snapshot_stream_checksum(checksum, seq, layer, &chunk);
             total_len += chunk.len() as u64;
             let part = Response::SnapshotPart { seq, layer, chunk };
-            emit(encode_bounded(&part))?;
-        }
-        let summary = Response::SnapshotSummary {
-            generation,
-            rows,
-            count,
-            total_len,
-            checksum,
-        };
-        emit(encode_bounded(&summary))
+            seq += 1;
+            let (bytes, fits) = encode_part(&part);
+            done = !fits;
+            Some(bytes)
+        })))
     }
 
     /// Close a push-install: verify the staged parts against the
@@ -1789,12 +1302,10 @@ impl Default for InstallStaging {
     }
 }
 
-/// The [`FrameService`] the reactor drives: the server's request brain
-/// behind the `dp_net` frame boundary, plus the per-connection
-/// push-install staging (thread mode keeps the equivalent staging as a
-/// local in [`Server::serve_conn`]; the reactor is connection-agnostic,
-/// so staging is keyed by the reactor's connection id and cleared by
-/// [`FrameService::conn_closed`]).
+/// The [`FrameService`] the reactor drives: the server's one request
+/// dispatcher behind the `dp_net` frame boundary, plus the
+/// per-connection push-install staging (keyed by the reactor's
+/// connection id and cleared by [`FrameService::conn_closed`]).
 struct SnapshotService<'a> {
     server: &'a Server,
     installs: Mutex<BTreeMap<u64, InstallStaging>>,
@@ -1815,45 +1326,254 @@ impl SnapshotService<'_> {
 }
 
 impl FrameService for SnapshotService<'_> {
+    /// Decode one request and answer it against the shared engine.
+    ///
+    /// Mutations run through [`SharedEngine::mutate`] (serialized, and
+    /// publishing a fresh snapshot); every read-only arm answers from a
+    /// published snapshot with no lock on the hot path. The bulk
+    /// answers (`ExecuteTilesStream`, `FetchSnapshot`) are pulled
+    /// streams; a staged push-install part answers nothing.
     fn handle_frame(&self, conn: u64, payload: &[u8]) -> ServiceReply {
-        match decode_request(payload) {
-            Ok(Request::SnapshotPart { seq, layer, chunk }) => {
-                let mut map = self.installs_lock();
-                let mut staging = map.remove(&conn);
-                match stage_snapshot_part(&mut staging, seq, layer, &chunk) {
-                    Ok(()) => {
-                        if let Some(staged) = staging {
-                            map.insert(conn, staged);
+        let server = self.server;
+        let request = match decode_request(payload) {
+            Ok(request) => request,
+            Err(e) => {
+                return ServiceReply::reply(encode_bounded(&Response::Error {
+                    code: ERR_MALFORMED,
+                    message: e.to_string(),
+                }))
+            }
+        };
+        // Replicated mutations (coordinator Hello/Ingest) serialize on
+        // the shards' order lock, acquired *before* the engine lock:
+        // the local append, the journal append, and the worker
+        // broadcast form one ordered unit, but the engine lock is
+        // released (inside `mutate`) before the broadcast, so a wedged
+        // worker stalls only other mutations — local queries keep
+        // answering from snapshots.
+        let _order = match (&server.shards, &request) {
+            (Some(shards), Request::Hello { .. } | Request::Ingest { .. }) => {
+                Some(shards.order_lock())
+            }
+            _ => None,
+        };
+        let response = match request {
+            Request::Hello { spec_json, .. } => {
+                let response = server.shared.mutate(|engine| hello(engine, &spec_json));
+                // A coordinator journals the accepted spec and relays
+                // it (with its own caps) so the worker replicas
+                // negotiate the same store identity. A worker that
+                // fails the relay or echoes a diverged row count is
+                // poisoned — the journal lets it catch up later — but
+                // the client's Hello still succeeds: the coordinator's
+                // local engine is the source of truth.
+                if let (Response::Hello { rows, .. }, Some(shards)) = (&response, &server.shards) {
+                    let rows = *rows;
+                    shards.journal_lock().set_spec(&spec_json);
+                    let relay = Request::Hello {
+                        spec_json,
+                        caps: CLIENT_CAPS,
+                    };
+                    shards.broadcast_mutation(
+                        &relay,
+                        &|r| matches!(r, Response::Hello { rows: got, .. } if *got == rows),
+                    );
+                }
+                response
+            }
+            Request::Ingest { release_frame } => {
+                let accepted = server.shared.mutate(|engine| {
+                    engine
+                        .ingest_bytes(&release_frame)
+                        .map(|row| (row as u64, engine.store().n() as u64))
+                });
+                match accepted {
+                    Ok((row, rows)) => {
+                        // Journal and broadcast only what the local
+                        // engine accepted — a rejected release never
+                        // reaches a worker. Live workers must echo the
+                        // coordinator's row count (a different echo
+                        // means the replica missed an earlier mutation
+                        // → poisoned, caught up from the journal at the
+                        // next revival); poisoned workers are skipped,
+                        // not waited on. Either way the client's ingest
+                        // succeeds.
+                        if let Some(shards) = &server.shards {
+                            let mut log = shards.journal_lock();
+                            log.append(release_frame.clone());
+                            if log.needs_compaction() {
+                                // Fold the journal into a fresh snapshot.
+                                // The published snapshot reflects this
+                                // ingest (mutate published before we got
+                                // here) and no other mutation can run —
+                                // we hold the order lock — so its row
+                                // count is exactly the log's tip.
+                                let snap = server.shared.snapshot();
+                                let bytes = snap.store().encode_snapshot(snap.generation());
+                                log.install_snapshot(bytes, snap.n(), snap.generation());
+                                log.compactions += 1;
+                                shards.stats.compactions.fetch_add(1, Ordering::SeqCst);
+                                shards
+                                    .stats
+                                    .snapshot_generation
+                                    .store(snap.generation(), Ordering::SeqCst);
+                            }
+                            shards
+                                .stats
+                                .journal_len
+                                .store(log.frames.len() as u64, Ordering::SeqCst);
+                            drop(log);
+                            shards.broadcast_mutation(
+                                &Request::Ingest { release_frame },
+                                &|r| matches!(r, Response::Ingested { rows: got, .. } if *got == rows),
+                            );
                         }
-                        ServiceReply {
-                            frames: Vec::new(),
-                            control: Control::Continue,
-                        }
+                        Response::Ingested { row, rows }
                     }
-                    Err(refusal) => ServiceReply {
-                        frames: vec![encode_bounded(&refusal)],
-                        control: Control::Continue,
-                    },
+                    Err(e) => error_response(&e),
                 }
             }
-            Ok(Request::SnapshotSummary {
+            Request::Pairwise { parties } => {
+                if parties.is_empty() {
+                    let snapshot = server.current_snapshot();
+                    match &server.shards {
+                        // The quadratic pass fans out across the pool
+                        // (2+ rows; below that the plan has no pairs).
+                        // The snapshot fixes the store geometry with no
+                        // lock at all: a slow worker never blocks other
+                        // clients. The store is append-only, so a
+                        // mid-flight ingest can only surface as a
+                        // worker-side ERR_PLAN.
+                        Some(shards) if snapshot.n() >= 2 && !shards.workers.is_empty() => {
+                            let party_ids = snapshot.store().party_ids().to_vec();
+                            shards.sharded_pairwise(snapshot.n(), party_ids)
+                        }
+                        _ => {
+                            // Warm memo: answer straight off the
+                            // snapshot. Cold: fill the memo through the
+                            // mutation path — which *publishes* a
+                            // snapshot carrying the matrix, so the next
+                            // full-matrix (and top-pairs) reads are
+                            // lock-free again.
+                            let (parties, values) = match snapshot.full_matrix() {
+                                Some(matrix) => (
+                                    snapshot.store().party_ids().to_vec(),
+                                    matrix.as_flat().to_vec(),
+                                ),
+                                None => server.shared.mutate(|engine| {
+                                    (
+                                        engine.store().party_ids().to_vec(),
+                                        engine.pairwise_all().as_flat().to_vec(),
+                                    )
+                                }),
+                            };
+                            Response::Pairwise { parties, values }
+                        }
+                    }
+                } else {
+                    match server.current_snapshot().pairwise(&parties) {
+                        Ok(matrix) => Response::Pairwise {
+                            parties,
+                            values: matrix.into_flat(),
+                        },
+                        Err(e) => error_response(&e),
+                    }
+                }
+            }
+            Request::PlanPairwise { tile } => {
+                let plan = TilePlan::new(server.current_snapshot().n(), tile as usize);
+                Response::Plan {
+                    rows: plan.n() as u64,
+                    tile: plan.tile() as u32,
+                    tile_count: plan.tile_count() as u64,
+                    pair_count: plan.pair_count() as u64,
+                }
+            }
+            Request::ExecuteTiles {
+                rows,
+                tile,
+                tile_ids,
+            } => {
+                let plan_rows = usize::try_from(rows).unwrap_or(usize::MAX);
+                match server
+                    .current_snapshot()
+                    .execute_tiles(plan_rows, tile as usize, &tile_ids)
+                {
+                    Ok(segments) => Response::TileResult {
+                        rows,
+                        tile,
+                        segments,
+                    },
+                    Err(e) => error_response(&e),
+                }
+            }
+            Request::ExecuteTilesStream {
+                rows,
+                tile,
+                tile_ids,
+            } => return tile_frames(server.current_snapshot(), rows, tile, tile_ids),
+            Request::FetchSnapshot {
+                have_rows,
+                part_len,
+            } => return server.snapshot_frames(have_rows, part_len),
+            Request::SnapshotPart { seq, layer, chunk } => {
+                let mut map = self.installs_lock();
+                let mut staging = map.remove(&conn);
+                if let Err(refusal) = stage_snapshot_part(&mut staging, seq, layer, &chunk) {
+                    return ServiceReply::reply(encode_bounded(&refusal));
+                }
+                if let Some(staged) = staging {
+                    map.insert(conn, staged);
+                }
+                return ServiceReply {
+                    frames: Vec::new(),
+                    stream: None,
+                    control: Control::Continue,
+                };
+            }
+            Request::SnapshotSummary {
                 generation,
                 rows,
                 count,
                 total_len,
                 checksum,
-            }) => {
+            } => {
                 let staging = self.installs_lock().remove(&conn);
-                let response = self
-                    .server
-                    .finish_snapshot_install(staging, generation, rows, count, total_len, checksum);
-                ServiceReply {
-                    frames: vec![encode_bounded(&response)],
-                    control: Control::Continue,
-                }
+                server
+                    .finish_snapshot_install(staging, generation, rows, count, total_len, checksum)
             }
-            _ => self.server.handle_payload(payload),
-        }
+            Request::Knn { party, k } => match server.current_snapshot().knn(party, k as usize) {
+                Ok(neighbors) => Response::Knn {
+                    neighbors: neighbors
+                        .into_iter()
+                        .map(|n| (n.party_id, n.estimated_sq_distance))
+                        .collect(),
+                },
+                Err(e) => error_response(&e),
+            },
+            Request::TopPairs { t } => {
+                let pairs = match server.current_snapshot().top_pairs(t as usize) {
+                    Some(pairs) => pairs,
+                    // Stale memo: fill it through the mutation path
+                    // (publishing a matrix-carrying snapshot).
+                    None => server.shared.mutate(|engine| engine.top_pairs(t as usize)),
+                };
+                Response::TopPairs { pairs }
+            }
+            Request::Shutdown => {
+                // A coordinator winds its worker pool down with it
+                // (best-effort: a dead worker can't block shutdown).
+                if let Some(shards) = &server.shards {
+                    shards.broadcast_mutation(&Request::Shutdown, &|r| matches!(r, Response::Bye));
+                }
+                return ServiceReply {
+                    frames: vec![encode_bounded(&Response::Bye)],
+                    stream: None,
+                    control: Control::Shutdown,
+                };
+            }
+        };
+        ServiceReply::reply(encode_bounded(&response))
     }
 
     fn conn_closed(&self, conn: u64) {
@@ -1874,8 +1594,7 @@ impl FrameService for SnapshotService<'_> {
 /// Encode a response, substituting a typed error when the frame would
 /// exceed [`MAX_FRAME_LEN`] (a huge all-pairs matrix must come back as
 /// an error the client can act on — query a smaller subset — not a
-/// silent hangup) or fails to encode at all. Both serve modes encode
-/// through here, keeping their bytes identical.
+/// silent hangup) or fails to encode at all.
 fn encode_bounded(response: &Response) -> Vec<u8> {
     if let Ok(bytes) = encode_response(response) {
         if bytes.len() <= MAX_FRAME_LEN {
@@ -1899,64 +1618,74 @@ fn encode_bounded(response: &Response) -> Vec<u8> {
     .expect("error frames are small")
 }
 
-/// Produce one `ExecuteTilesStream` answer as encoded frames over ONE
-/// immutable snapshot: validate once, then a `TileResultPart` frame per
-/// tile, closed by a `TileResultSummary` carrying the part count and
-/// the running stream digest. The snapshot cannot change underneath the
-/// stream, so the answer is internally consistent by construction (the
-/// old per-tile-engine-lock path could race a concurrent ingest). A
-/// monolithic result frame never materializes; each frame goes to
-/// `emit` as soon as it is ready (thread mode writes it to the socket,
-/// the event loop queues it). Both serve modes stream through here,
-/// keeping their bytes identical.
-///
-/// # Errors
-/// Only what `emit` returns (transport failures in thread mode);
-/// protocol-level failures travel as `Error` frames.
-fn stream_tile_frames(
-    snapshot: &EngineSnapshot,
+/// Encode one stream part, or — when it cannot go out as one frame —
+/// the typed error that ends the stream instead. Returns the bytes and
+/// whether the part itself fit.
+fn encode_part(part: &Response) -> (Vec<u8>, bool) {
+    match encode_response(part) {
+        Ok(bytes) if bytes.len() <= MAX_FRAME_LEN => (bytes, true),
+        _ => {
+            let oversize = Response::Error {
+                code: ERR_INTERNAL,
+                message: "a stream part exceeds a single frame; use a smaller tile side \
+                          or part length"
+                    .to_string(),
+            };
+            (encode_bounded(&oversize), false)
+        }
+    }
+}
+
+/// Answer one `ExecuteTilesStream` over ONE immutable snapshot:
+/// validate once, then a pulled stream of one `TileResultPart` frame
+/// per tile, closed by a `TileResultSummary` carrying the part count
+/// and the running stream digest. The stream owns its snapshot, so the
+/// answer is internally consistent by construction however long the
+/// peer takes to drain it, and each tile is executed only when the
+/// reactor pulls its frame. A refused plan answers one `Error` frame.
+fn tile_frames(
+    snapshot: Arc<EngineSnapshot>,
     rows: u64,
     tile: u32,
-    tile_ids: &[u64],
-    emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
-) -> io::Result<()> {
+    tile_ids: Vec<u64>,
+) -> ServiceReply {
     let plan_rows = usize::try_from(rows).unwrap_or(usize::MAX);
-    let plan = match snapshot.validate_tiles(plan_rows, tile as usize, tile_ids) {
+    let plan = match snapshot.validate_tiles(plan_rows, tile as usize, &tile_ids) {
         Ok(plan) => plan,
-        Err(e) => {
-            let bytes = encode_response(&error_response(&e)).expect("error frames encode");
-            return emit(bytes);
-        }
+        Err(e) => return ServiceReply::reply(encode_bounded(&error_response(&e))),
     };
+    let mut ids = tile_ids.into_iter();
     let mut checksum = FNV1A64_INIT;
     let mut count = 0u64;
-    for &id in tile_ids {
-        let mut segments = snapshot.execute_tile(&plan, id);
-        let segment = segments.pop().expect("one id, one segment");
+    let mut done = false;
+    ServiceReply::stream(Box::new(std::iter::from_fn(move || {
+        if done {
+            return None;
+        }
+        let Some(id) = ids.next() else {
+            done = true;
+            let summary = Response::TileResultSummary {
+                rows,
+                tile,
+                count,
+                checksum,
+            };
+            return Some(encode_bounded(&summary));
+        };
+        let segment = snapshot
+            .execute_tile(&plan, id)
+            .pop()
+            .expect("one id, one segment");
         checksum = tile_stream_checksum(checksum, &segment);
         count += 1;
-        let part = Response::TileResultPart {
+        let (bytes, fits) = encode_part(&Response::TileResultPart {
             rows,
             tile,
             segment,
-        };
-        let Ok(bytes) = encode_response(&part) else {
-            let oversize = Response::Error {
-                code: ERR_INTERNAL,
-                message: format!("tile {id} exceeds a single frame; use a smaller tile side"),
-            };
-            let bytes = encode_response(&oversize).expect("error frames encode");
-            return emit(bytes);
-        };
-        emit(bytes)?;
-    }
-    let summary = Response::TileResultSummary {
-        rows,
-        tile,
-        count,
-        checksum,
-    };
-    emit(encode_response(&summary).expect("summary frames are small"))
+        });
+        done = !fits;
+        Some(bytes)
+    })))
 }
 
 /// The capabilities this server advertises on every `Hello` answer.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dp-server [--listen tcp:HOST:PORT | --listen unix:PATH]
-//!           [--spec PATH.json] [--workers N] [--serve-mode threads|evloop]
+//!           [--spec PATH.json] [--workers N]
 //!           [--worker ENDPOINT]... [--shard-tile T] [--worker-timeout SECS]
 //!           [--data-dir PATH] [--compact-threshold N]
 //!           [--standby PRIMARY-ENDPOINT]
@@ -11,22 +11,20 @@
 //! Without `--spec` the store adopts the spec proposed by the first
 //! client `Hello`. The engine's all-pairs kernel runs on the usual
 //! `DP_THREADS` / `DP_TILE` environment knobs; `--workers` sets how
-//! many connections (threads mode) or event loops (evloop mode) are
-//! served concurrently. The server exits cleanly when a client sends
-//! the protocol `Shutdown` request.
-//!
-//! `--serve-mode threads` (the default) serves one blocking thread per
-//! connection, with read/write timeouts from `--worker-timeout` so a
-//! wedged client cannot pin a thread forever. `--serve-mode evloop`
-//! serves on `dp-net`'s poll-driven nonblocking reactor: slow clients
-//! cost a buffer, overload answers a typed `ERR_BUSY`.
+//! many event loops of `dp-net`'s poll-driven nonblocking reactor
+//! serve connections: slow clients cost a buffer, overload answers a
+//! typed `ERR_BUSY`, and tile streams and snapshot fetches of any size
+//! go out as pulled streams. The server exits cleanly when a client
+//! sends the protocol `Shutdown` request. `--serve-mode evloop` is
+//! still accepted and changes nothing; thread mode was removed.
 //!
 //! Passing one or more `--worker` endpoints switches the server into
 //! **coordinator mode**: ingests are broadcast to every worker server,
 //! and full all-pairs queries are answered by sharding the tile plan
 //! (`--shard-tile` tiles, default 64) across the pool and gathering the
-//! scattered segments. Each worker connection carries a read timeout
-//! (`--worker-timeout`, default 30 s) so a dead worker fails a query
+//! scattered segments. `--worker-timeout` (default 30 s) sets the read
+//! timeout of the server's *outbound* connections — to its workers
+//! and, for a standby, to the primary — so a dead peer fails a query
 //! with a typed error instead of hanging the coordinator. Worker
 //! servers are plain `dp-server` instances — start them first, or
 //! within the coordinator's connect-retry window (~5 s).
@@ -41,11 +39,11 @@
 //! itself, reconnects the `--worker` pool, and serves as the new
 //! coordinator — same store, bit-identical answers.
 
-use dp_core::protocol::SNAPSHOT_LAYER_STORE;
+use dp_core::protocol::{ERR_PLAN, SNAPSHOT_LAYER_STORE};
 use dp_core::sketcher::SketcherSpec;
 use dp_core::Parallelism;
 use dp_engine::{QueryEngine, SketchStore};
-use dp_server::{Client, ClientError, CoordinatorConfig, Endpoint, ServeMode, Server, WorkerEntry};
+use dp_server::{Client, ClientError, CoordinatorConfig, Endpoint, Server, WorkerEntry};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -64,19 +62,83 @@ const STANDBY_PROMOTE_AFTER: u32 = 5;
 /// The pause between standby tail rounds.
 const STANDBY_TICK: Duration = Duration::from_millis(100);
 
+/// What one standby tail round learned about the primary.
+#[derive(Debug, PartialEq, Eq)]
+enum Tail {
+    /// The primary answered. What it sent is applied; a refusal other
+    /// than `ERR_PLAN` (`ERR_BUSY`, `ERR_INTERNAL`, …) leaves the state
+    /// as is for the next tick.
+    Alive,
+    /// The primary refused with `ERR_PLAN` — the standby holds rows
+    /// the primary's log never had (a primary restart from an older
+    /// snapshot), so its state must be dropped.
+    Diverged,
+    /// Transport failure or timeout: the primary may be dead.
+    Lost,
+}
+
+/// Fetch what the standby's `engine` is missing from the primary and
+/// apply it. Only an `ERR_PLAN` refusal means divergence; any other
+/// error frame comes from a live primary and leaves the engine as is.
+fn tail_round(client: &mut Client, engine: &mut QueryEngine) -> Tail {
+    let have = engine.store().n() as u64;
+    let mut store_bytes: Vec<u8> = Vec::new();
+    let mut journal_frames: Vec<Vec<u8>> = Vec::new();
+    match client.fetch_snapshot(have, 0, &mut |layer, chunk| {
+        if layer == SNAPSHOT_LAYER_STORE {
+            store_bytes.extend_from_slice(&chunk);
+        } else {
+            journal_frames.push(chunk);
+        }
+    }) {
+        Ok(_) => {}
+        Err(ClientError::Remote { code, message }) if code == ERR_PLAN => {
+            eprintln!("dp-server: standby diverged ({message}); refetching from scratch");
+            return Tail::Diverged;
+        }
+        Err(ClientError::Remote { code, message }) => {
+            eprintln!("dp-server: primary declined the tail ({code}: {message}); retrying");
+            return Tail::Alive;
+        }
+        Err(_) => return Tail::Lost,
+    }
+    if !store_bytes.is_empty() {
+        match SketchStore::decode_snapshot(&store_bytes) {
+            Ok((store, generation)) => {
+                let par = match store.spec() {
+                    Some(spec) => engine.parallelism().with_kernel(spec.kernel()),
+                    None => engine.parallelism(),
+                };
+                *engine = QueryEngine::new(store)
+                    .with_parallelism(par)
+                    .with_generation(generation);
+            }
+            Err(e) => {
+                eprintln!("dp-server: standby snapshot decode failed: {e}");
+                return Tail::Alive;
+            }
+        }
+    }
+    for frame in &journal_frames {
+        if let Err(e) = engine.ingest_bytes(frame) {
+            eprintln!("dp-server: standby journal frame refused: {e}");
+            break;
+        }
+    }
+    Tail::Alive
+}
+
 /// Tail the primary's replication log into a local engine until the
 /// primary stays dead, then promote: bind `listen`, reconnect the
 /// worker pool, and serve as the coordinator. The standby does **not**
 /// bind its listen endpoint until promotion — there is exactly one
 /// coordinator at a time.
-#[allow(clippy::too_many_arguments)]
 fn run_standby(
     primary: Endpoint,
     listen: Endpoint,
     worker_endpoints: &[String],
     config: CoordinatorConfig,
     worker_timeout: Duration,
-    serve_mode: ServeMode,
     loops: usize,
 ) -> ExitCode {
     let mut engine = QueryEngine::new(SketchStore::adopting());
@@ -101,51 +163,14 @@ fn run_standby(
                 }
             },
         };
-        let have = engine.store().n() as u64;
-        let mut store_bytes: Vec<u8> = Vec::new();
-        let mut journal_frames: Vec<Vec<u8>> = Vec::new();
-        match client.fetch_snapshot(have, 0, &mut |layer, chunk| {
-            if layer == SNAPSHOT_LAYER_STORE {
-                store_bytes.extend_from_slice(&chunk);
-            } else {
-                journal_frames.push(chunk);
-            }
-        }) {
-            Ok(_) => {
-                failures = 0;
-                if !store_bytes.is_empty() {
-                    match SketchStore::decode_snapshot(&store_bytes) {
-                        Ok((store, generation)) => {
-                            let par = match store.spec() {
-                                Some(spec) => engine.parallelism().with_kernel(spec.kernel()),
-                                None => engine.parallelism(),
-                            };
-                            engine = QueryEngine::new(store)
-                                .with_parallelism(par)
-                                .with_generation(generation);
-                        }
-                        Err(e) => {
-                            eprintln!("dp-server: standby snapshot decode failed: {e}");
-                            continue;
-                        }
-                    }
-                }
-                for frame in &journal_frames {
-                    if let Err(e) = engine.ingest_bytes(frame) {
-                        eprintln!("dp-server: standby journal frame refused: {e}");
-                        break;
-                    }
-                }
-            }
-            Err(ClientError::Remote { message, .. }) => {
-                // The primary is alive but refused the tail — the
-                // standby diverged ahead (a primary restart from an
-                // older snapshot). Drop local state and refetch from 0.
-                eprintln!("dp-server: standby diverged ({message}); refetching from scratch");
+        match tail_round(client, &mut engine) {
+            Tail::Alive => failures = 0,
+            Tail::Diverged => {
+                // Drop local state and refetch from 0 on the next tick.
                 failures = 0;
                 engine = QueryEngine::new(SketchStore::adopting());
             }
-            Err(_) => {
+            Tail::Lost => {
                 failures += 1;
                 conn = None;
             }
@@ -176,13 +201,12 @@ fn run_standby(
         Ok(s) => s,
         Err(e) => return fail(&format!("cannot bind after promotion: {e}")),
     };
-    let server = server.with_conn_timeout(Some(worker_timeout));
     println!(
         "dp-server: promoted standby serving on {} ({} worker(s))",
         server.local_endpoint(),
         server.worker_count()
     );
-    server.serve_mode(serve_mode, loops);
+    server.serve(loops);
     println!("dp-server: clean shutdown");
     ExitCode::SUCCESS
 }
@@ -207,6 +231,19 @@ fn connect_worker(endpoint: &Endpoint, timeout: Duration) -> std::io::Result<Cli
     Err(last_err.expect("at least one attempt"))
 }
 
+/// `--serve-mode` survives only so existing launch scripts keep
+/// working: `evloop` — the one transport — is a no-op.
+fn check_transport_flag(value: Option<&str>) -> Result<(), String> {
+    match value {
+        Some("evloop") => Ok(()),
+        Some(other) => Err(format!(
+            "serve mode '{other}' is not available: thread mode was removed, and the \
+             event loop (--serve-mode evloop, the default) is the only transport"
+        )),
+        None => Err("--serve-mode needs a value (only evloop remains)".to_string()),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut listen = "tcp:127.0.0.1:7878".to_string();
@@ -215,7 +252,6 @@ fn main() -> ExitCode {
     let mut worker_endpoints: Vec<String> = Vec::new();
     let mut shard_tile = dp_parallel::DEFAULT_TILE;
     let mut worker_timeout = Duration::from_secs(30);
-    let mut serve_mode = ServeMode::Threads;
     let mut data_dir: Option<PathBuf> = None;
     let mut compact_threshold = 0usize;
     let mut standby: Option<String> = None;
@@ -286,18 +322,14 @@ fn main() -> ExitCode {
                 }
                 None => return fail("--standby needs the primary's endpoint"),
             },
-            "--serve-mode" => match value(i).as_deref().map(ServeMode::parse) {
-                Some(Ok(mode)) => {
-                    serve_mode = mode;
-                    i += 2;
-                }
-                Some(Err(e)) => return fail(&e),
-                None => return fail("--serve-mode needs threads or evloop"),
+            "--serve-mode" => match check_transport_flag(value(i).as_deref()) {
+                Ok(()) => i += 2,
+                Err(e) => return fail(&e),
             },
             "--help" | "-h" => {
                 println!(
                     "usage: dp-server [--listen tcp:HOST:PORT|unix:PATH] \
-                     [--spec PATH.json] [--workers N] [--serve-mode threads|evloop] \
+                     [--spec PATH.json] [--workers N] \
                      [--worker ENDPOINT]... [--shard-tile T] [--worker-timeout SECS] \
                      [--data-dir PATH] [--compact-threshold N] [--standby ENDPOINT]"
                 );
@@ -327,7 +359,6 @@ fn main() -> ExitCode {
             &worker_endpoints,
             config,
             worker_timeout,
-            serve_mode,
             workers,
         );
     }
@@ -380,17 +411,9 @@ fn main() -> ExitCode {
         Ok(s) => s,
         Err(e) => return fail(&format!("cannot bind {listen}: {e}")),
     };
-    // The wedged-client guard: thread-mode accepted sockets share the
-    // worker-timeout knob, so a half-open peer frees its thread within
-    // the deadline instead of pinning it forever.
-    let server = server.with_conn_timeout(Some(worker_timeout));
-    let mode_name = match serve_mode {
-        ServeMode::Threads => "threads",
-        ServeMode::EvLoop => "evloop",
-    };
     if coordinator {
         println!(
-            "dp-server: coordinating {} worker server(s) on {} ({} {mode_name} loop(s), shard tile {})",
+            "dp-server: coordinating {} worker server(s) on {} ({} event loop(s), shard tile {})",
             server.worker_count(),
             server.local_endpoint(),
             workers,
@@ -398,13 +421,110 @@ fn main() -> ExitCode {
         );
     } else {
         println!(
-            "dp-server: serving protocol v{} on {} ({} worker(s), {mode_name} mode)",
+            "dp-server: serving protocol v{} on {} ({} event loop(s))",
             dp_core::protocol::PROTOCOL_VERSION,
             server.local_endpoint(),
             workers
         );
     }
-    server.serve_mode(serve_mode, workers);
+    server.serve(workers);
     println!("dp-server: clean shutdown");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dp_core::config::SketchConfig;
+    use dp_core::release::Release;
+    use dp_core::sketcher::{Construction, PrivateSketcher};
+    use dp_hashing::Seed;
+    use dp_server::NetConfig;
+
+    #[test]
+    fn transport_flag_accepts_only_the_event_loop() {
+        assert_eq!(check_transport_flag(Some("evloop")), Ok(()));
+        let refused = check_transport_flag(Some("threads")).unwrap_err();
+        assert!(refused.contains("thread mode was removed"), "{refused}");
+        assert!(check_transport_flag(None).is_err());
+    }
+
+    /// Regression: every error frame used to count as divergence, so a
+    /// primary that merely answered `ERR_BUSY` made the standby wipe
+    /// its engine. Only `ERR_PLAN` means "diverged ahead".
+    #[test]
+    fn standby_keeps_its_state_when_the_primary_is_busy() {
+        let config = SketchConfig::builder()
+            .input_dim(64)
+            .alpha(0.25)
+            .beta(0.05)
+            .epsilon(2.0)
+            .build()
+            .expect("config");
+        let spec = SketcherSpec::new(Construction::SjltAuto, config, Seed::new(31));
+        let sketcher = spec.build().expect("sketcher");
+        let rows: Vec<Vec<f64>> = (0..4)
+            .map(|i| (0..64).map(|j| ((i + j) % 5) as f64).collect())
+            .collect();
+        let releases: Vec<Release> = sketcher
+            .sketch_batch(&rows, Seed::new(32))
+            .expect("batch")
+            .into_iter()
+            .enumerate()
+            .map(|(i, sketch)| Release {
+                party_id: i as u64,
+                sketch,
+            })
+            .collect();
+        let standby_at = |n: usize| {
+            let mut engine = QueryEngine::new(SketchStore::adopting());
+            for r in &releases[..n] {
+                engine.ingest(r).expect("ingest");
+            }
+            engine
+        };
+
+        // A journaling primary whose write budget is below one journal
+        // part: tailing it answers ERR_BUSY, a live-primary refusal.
+        let primary = Server::bind_coordinator_with(
+            Endpoint::Tcp("127.0.0.1:0".to_string()),
+            QueryEngine::new(SketchStore::adopting()),
+            Vec::new(),
+            CoordinatorConfig {
+                compact_threshold: 1000,
+                ..CoordinatorConfig::default()
+            },
+        )
+        .expect("bind primary")
+        .with_net_config(NetConfig {
+            write_budget: 512,
+            ..NetConfig::default()
+        });
+        let endpoint = primary.local_endpoint();
+        let rounds = std::thread::scope(|scope| {
+            let serving = scope.spawn(|| primary.serve(1));
+            let mut client = Client::connect(&endpoint).expect("connect");
+            client.hello(&spec).expect("hello");
+            for r in &releases[..3] {
+                client.ingest(r).expect("ingest");
+            }
+            // Standbys behind the primary, level with it, and holding a
+            // row its log never had — all on one connection.
+            let rounds = [1, 3, 4].map(|n| {
+                let mut engine = standby_at(n);
+                let tail = tail_round(&mut client, &mut engine);
+                (tail, engine.store().n())
+            });
+            client.shutdown().expect("shutdown");
+            serving.join().expect("primary serve");
+            rounds
+        });
+        assert_eq!(
+            rounds[0],
+            (Tail::Alive, 1),
+            "busy primary wiped the standby"
+        );
+        assert_eq!(rounds[1], (Tail::Alive, 3));
+        assert_eq!(rounds[2].0, Tail::Diverged);
+    }
 }

@@ -10,12 +10,14 @@
 //! requested afterwards must correspond to a prefix of at least `m`
 //! rows.
 //!
-//! Both serve modes run the same scenario; neither may differ.
+//! The scenario runs twice: with a loop per reader (plus spares), so
+//! readers and the writer are served in parallel, and with fewer loops
+//! than connections, so several share one loop.
 
 use dp_euclid::core::release::Release;
 use dp_euclid::hashing::Seed;
 use dp_euclid::prelude::*;
-use dp_server::{Client, Endpoint, ServeMode, Server};
+use dp_server::{Client, Endpoint, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const ROWS: usize = 10;
@@ -95,7 +97,7 @@ fn knn_bits_eq(a: &[(u64, f64)], b: &[(u64, f64)]) -> bool {
             .all(|((pa, da), (pb, db))| pa == pb && da.to_bits() == db.to_bits())
 }
 
-fn run_chaos(mode: ServeMode, workers: usize) {
+fn run_chaos(loops: usize) {
     let spec = spec(48);
     let rs = releases(&spec, ROWS);
     let refs = prefix_references(&spec, &rs);
@@ -127,7 +129,7 @@ fn run_chaos(mode: ServeMode, workers: usize) {
     let published = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        let serve = scope.spawn(|| server.serve_mode(mode, workers));
+        let serve = scope.spawn(|| server.serve(loops));
 
         // Seed the store so readers always have rows to query.
         let mut writer = Client::connect(&endpoint).expect("connect writer");
@@ -206,11 +208,11 @@ fn run_chaos(mode: ServeMode, workers: usize) {
 }
 
 #[test]
-fn chaos_threads_mode_answers_are_snapshot_consistent() {
-    run_chaos(ServeMode::Threads, READERS + 2);
+fn chaos_parallel_loops_answers_are_snapshot_consistent() {
+    run_chaos(READERS + 2);
 }
 
 #[test]
 fn chaos_evloop_mode_answers_are_snapshot_consistent() {
-    run_chaos(ServeMode::EvLoop, 2);
+    run_chaos(2);
 }

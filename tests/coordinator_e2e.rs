@@ -102,7 +102,7 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
     let coord_endpoint = Endpoint::Unix(coord_socket.clone());
 
     // The coordinator's worker pool: one timed connection each (the
-    // listeners are bound, so connecting before the accept loops start
+    // listeners are bound, so connecting before the event loops start
     // just parks the connections in the backlog).
     let pool = reconnectable_pool(&[&ep_a, &ep_b], Duration::from_secs(30));
     // A small shard tile forces many tiles per worker, exercising
@@ -117,8 +117,8 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
     assert_eq!(coordinator.worker_count(), 2);
 
     std::thread::scope(|scope| {
-        // Two accept loops per worker: one serves the coordinator's
-        // long-lived pool connection, the other the direct probes below.
+        // Two event loops per worker share the coordinator's pool
+        // connection and the direct probes below.
         let ha = scope.spawn(|| worker_a.serve(2));
         let hb = scope.spawn(|| worker_b.serve(2));
         let hc = scope.spawn(|| coordinator.serve(1));

@@ -1,18 +1,17 @@
-//! End-to-end tests of the event-loop serve mode: the reactor must
-//! answer every protocol-v4 frame **byte-identically** to thread mode
-//! (and hence to the in-process engine, which `server_e2e.rs` pins
-//! thread mode against), including the streamed tile path; overload
-//! must surface as the typed `ERR_BUSY` frame; and the thread-mode
-//! wedged-client regression (no socket timeouts) must stay fixed.
+//! End-to-end tests of the event-loop server beyond the request kinds
+//! `server_e2e.rs` pins: the tile surface (plan, monolithic and
+//! streamed execution) must match the in-process engine; bulk streams
+//! (`FetchSnapshot`, `ExecuteTilesStream`) larger than the write
+//! budget must go out as pulled streams, bit-identical to the engine;
+//! a single oversized frame must surface as the typed `ERR_BUSY`; and
+//! a wedged client must never block a loop.
 
-use dp_euclid::core::protocol::{
-    decode_request, decode_response, encode_request, read_frame, write_frame, Request, Response,
-    CAP_TILE_STREAM, ERR_BUSY, ERR_MALFORMED,
-};
+use dp_euclid::core::protocol::{ERR_BUSY, SNAPSHOT_LAYER_STORE};
 use dp_euclid::core::release::Release;
+use dp_euclid::core::TilePlan;
 use dp_euclid::hashing::Seed;
 use dp_euclid::prelude::*;
-use dp_server::{connect, Client, ClientError, Endpoint, NetConfig, ServeMode, Server};
+use dp_server::{connect, Client, ClientError, Endpoint, NetConfig, Server};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -45,180 +44,48 @@ fn releases(spec: &SketcherSpec, n: usize) -> Vec<Release> {
         .collect()
 }
 
-/// One scripted exchange: a raw request payload plus how many response
-/// frames it is answered with (only the tile stream answers several).
-enum Step {
-    /// A well-formed request answered by `1 + extra_frames` frames.
-    Request(Request, usize),
-    /// A garbage payload (not a protocol frame); one error frame back.
-    Garbage(Vec<u8>),
-}
-
-/// Run the script against a fresh server in `mode`, returning every
-/// raw response payload in order.
-fn run_script(mode: ServeMode, steps: &[Step]) -> Vec<Vec<u8>> {
-    let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
-    let server = Server::bind(requested, QueryEngine::new(SketchStore::adopting())).expect("bind");
-    let endpoint = server.local_endpoint();
-    let mut replies = Vec::new();
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.serve_mode(mode, 2));
-        let mut conn = connect(&endpoint).expect("connect");
-        for step in steps {
-            let frames = match step {
-                Step::Request(request, extra) => {
-                    let payload = encode_request(request).expect("encode");
-                    write_frame(&mut conn, &payload).expect("write");
-                    1 + extra
-                }
-                Step::Garbage(payload) => {
-                    write_frame(&mut conn, payload).expect("write");
-                    1
-                }
-            };
-            for _ in 0..frames {
-                let reply = read_frame(&mut conn).expect("read").expect("frame");
-                replies.push(reply);
-            }
-        }
-        // Wind the server down so the scope joins.
-        let payload = encode_request(&Request::Shutdown).expect("encode");
-        write_frame(&mut conn, &payload).expect("write");
-        replies.push(read_frame(&mut conn).expect("read").expect("bye"));
-        handle.join().expect("server thread");
-    });
-    replies
-}
-
-#[test]
-fn evloop_frames_are_byte_identical_to_thread_mode() {
-    let spec = spec(96);
-    let rs = releases(&spec, 6);
-    let subset = [rs[3].party_id, rs[0].party_id, rs[5].party_id];
-
-    // The scripted conversation covers every request kind: negotiation,
-    // ingest (including a duplicate → error frame), full + subset
-    // pairwise, knn (plus an unknown id), top pairs, plan + monolithic
-    // + streamed tile execution, and a garbage payload.
-    let plan = dp_euclid::core::TilePlan::new(rs.len(), 2);
-    let all_ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
-    let mut steps = vec![Step::Request(
-        Request::Hello {
-            spec_json: spec.to_json(),
-            caps: CAP_TILE_STREAM,
-        },
-        0,
-    )];
-    for r in &rs {
-        steps.push(Step::Request(
-            Request::Ingest {
-                release_frame: r.to_bytes().expect("release bytes"),
-            },
-            0,
-        ));
-    }
-    steps.push(Step::Request(
-        Request::Ingest {
-            release_frame: rs[0].to_bytes().expect("release bytes"),
-        },
-        0,
-    ));
-    steps.push(Step::Request(Request::Pairwise { parties: vec![] }, 0));
-    steps.push(Step::Request(
-        Request::Pairwise {
-            parties: subset.to_vec(),
-        },
-        0,
-    ));
-    steps.push(Step::Request(
-        Request::Knn {
-            party: rs[2].party_id,
-            k: 3,
-        },
-        0,
-    ));
-    steps.push(Step::Request(Request::Knn { party: 9999, k: 2 }, 0));
-    steps.push(Step::Request(Request::TopPairs { t: 4 }, 0));
-    steps.push(Step::Request(Request::PlanPairwise { tile: 2 }, 0));
-    steps.push(Step::Request(
-        Request::ExecuteTiles {
-            rows: rs.len() as u64,
-            tile: 2,
-            tile_ids: all_ids.clone(),
-        },
-        0,
-    ));
-    // The stream answers one part frame per tile plus the summary.
-    steps.push(Step::Request(
-        Request::ExecuteTilesStream {
-            rows: rs.len() as u64,
-            tile: 2,
-            tile_ids: all_ids.clone(),
-        },
-        all_ids.len(),
-    ));
-    steps.push(Step::Garbage(b"not a protocol frame".to_vec()));
-
-    let threads = run_script(ServeMode::Threads, &steps);
-    let evloop = run_script(ServeMode::EvLoop, &steps);
-    assert_eq!(threads.len(), evloop.len());
-    for (i, (a, b)) in threads.iter().zip(&evloop).enumerate() {
-        assert_eq!(a, b, "response frame {i} differs between serve modes");
-    }
-
-    // Belt and braces: the full-pairwise frame decodes to the exact
-    // bits the in-process engine computes.
-    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
-    for r in &rs {
-        reference.ingest(r).expect("ingest");
-    }
-    let full = reference.pairwise_all();
-    let pairwise_frame = &evloop[rs.len() + 2]; // hello + 6 ingests + dup error
-    match decode_response(pairwise_frame).expect("decode") {
-        Response::Pairwise { parties, values } => {
-            assert_eq!(parties, reference.store().party_ids());
-            assert_eq!(values.len(), full.as_flat().len());
-            for (a, b) in values.iter().zip(full.as_flat()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        other => panic!("expected the full pairwise frame, got {other:?}"),
-    }
-    // And the garbage payload was answered with the typed error (last
-    // frame before the bye).
-    match decode_response(&evloop[evloop.len() - 2]).expect("decode") {
-        Response::Error { code, .. } => assert_eq!(code, ERR_MALFORMED),
-        other => panic!("expected ERR_MALFORMED, got {other:?}"),
+fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (a, b) in got.iter().zip(want) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: bits differ");
     }
 }
 
 #[test]
 fn evloop_client_surface_works_end_to_end() {
-    // The blocking Client speaks to the reactor exactly as it does to
-    // thread mode — including the streamed tile exchange with its
-    // digest verification.
+    // The blocking Client speaks to the reactor — including the
+    // streamed tile exchange with its digest verification — and the
+    // tile surface answers exactly what the in-process engine does.
     let spec = spec(64);
     let rs = releases(&spec, 5);
+    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    reference.ingest_batch(&rs).expect("ingest");
+    let plan = TilePlan::new(rs.len(), 2);
     let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
     let server = Server::bind(requested, QueryEngine::new(SketchStore::adopting())).expect("bind");
     let endpoint = server.local_endpoint();
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.serve_mode(ServeMode::EvLoop, 3));
+        let handle = scope.spawn(|| server.serve(3));
         let mut client = Client::connect(&endpoint).expect("connect");
         let (_, rows, _) = client.hello(&spec).expect("hello");
         assert_eq!(rows, 0);
         for r in &rs {
             client.ingest(r).expect("ingest");
         }
-        let (rows, tile, tile_count, _) = client.plan_pairwise(2).expect("plan");
+        let (rows, tile, tile_count, pair_count) = client.plan_pairwise(2).expect("plan");
+        assert_eq!((rows, tile), (rs.len() as u64, 2));
+        assert_eq!(tile_count, plan.tile_count() as u64);
+        assert_eq!(pair_count, plan.pair_count() as u64);
         let ids: Vec<u64> = (0..tile_count).collect();
+        let local = reference.execute_tiles(rs.len(), 2, &ids).expect("local");
         let mut segments = Vec::new();
         let parts = client
             .execute_tiles_streamed(rows, tile, &ids, &mut |s| segments.push(s))
             .expect("stream");
         assert_eq!(parts, tile_count);
+        assert_eq!(segments, local);
         let monolithic = client.execute_tiles(rows, tile, &ids).expect("monolithic");
-        assert_eq!(segments, monolithic);
+        assert_eq!(monolithic, local);
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread");
     });
@@ -239,7 +106,7 @@ fn oversized_reply_answers_err_busy_and_connection_survives() {
         });
     let endpoint = server.local_endpoint();
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.serve_mode(ServeMode::EvLoop, 1));
+        let handle = scope.spawn(|| server.serve(1));
         let mut client = Client::connect(&endpoint).expect("connect");
         client.hello(&spec).expect("hello");
         for r in &rs {
@@ -276,7 +143,7 @@ fn stats_expose_epoch_and_frame_counters() {
     let endpoint = server.local_endpoint();
     assert_eq!(server.stats().snapshot_epoch, 1, "bind publishes epoch 1");
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.serve_mode(ServeMode::EvLoop, 2));
+        let handle = scope.spawn(|| server.serve(2));
         let mut client = Client::connect(&endpoint).expect("connect");
         client.hello(&spec).expect("hello");
         for r in &rs {
@@ -297,26 +164,128 @@ fn stats_expose_epoch_and_frame_counters() {
     assert!(stats.coordinator.is_none());
 }
 
+/// Bulk replies far larger than the write budget go out as pulled
+/// streams — every frame fits, the stream as a whole does not — and
+/// decode to exactly what the in-process engine holds.
 #[test]
-fn thread_mode_frees_wedged_connections_via_conn_timeout() {
-    // Regression (pre-PR-6): thread-mode accepted sockets had no
-    // read/write timeouts, so a half-open client pinned its serving
-    // thread forever — with a single worker, the server was dead.
+fn fetch_snapshot_and_tile_streams_outgrow_a_small_write_budget() {
+    const BUDGET: usize = 1024;
     let spec = spec(64);
-    let rs = releases(&spec, 2);
+    let rs = releases(&spec, 32);
+    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    for r in &rs {
+        reference.ingest(r).expect("ingest");
+    }
     let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
     let server = Server::bind(requested, QueryEngine::new(SketchStore::adopting()))
         .expect("bind")
-        .with_conn_timeout(Some(Duration::from_millis(250)));
+        .with_net_config(NetConfig {
+            write_budget: BUDGET,
+            ..NetConfig::default()
+        });
     let endpoint = server.local_endpoint();
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.serve_mode(ServeMode::Threads, 1));
-        // The wedge: a partial frame header, then silence. The single
-        // serving thread blocks reading the rest of the header.
+        let handle = scope.spawn(|| server.serve(1));
+        let mut client = Client::connect(&endpoint).expect("connect");
+        client.hello(&spec).expect("hello");
+        for r in &rs {
+            client.ingest(r).expect("ingest");
+        }
+
+        // The whole store, in half-budget parts.
+        let mut image = Vec::new();
+        let (_, rows, parts) = client
+            .fetch_snapshot(0, 512, &mut |layer, chunk| {
+                assert_eq!(layer, SNAPSHOT_LAYER_STORE);
+                image.extend_from_slice(&chunk);
+            })
+            .expect("snapshot stream");
+        assert_eq!(rows, rs.len() as u64);
+        assert!(image.len() > 4 * BUDGET, "stream of {} bytes", image.len());
+        assert_eq!(parts as usize, image.len().div_ceil(512));
+        let (store, _) = SketchStore::decode_snapshot(&image).expect("decode image");
+        assert_eq!(store.party_ids(), reference.store().party_ids());
+        let mut replica = QueryEngine::new(store);
+        assert_bits(
+            replica.pairwise_all().as_flat(),
+            reference.pairwise_all().as_flat(),
+            "replica matrix",
+        );
+
+        // Every tile of a side-2 plan, one small part per tile.
+        let (rows, tile, tile_count, _) = client.plan_pairwise(2).expect("plan");
+        let ids: Vec<u64> = (0..tile_count).collect();
+        let mut segments = Vec::new();
+        let streamed = client
+            .execute_tiles_streamed(rows, tile, &ids, &mut |segment| segments.push(segment))
+            .expect("tile stream");
+        assert_eq!(streamed, tile_count);
+        let local = reference
+            .execute_tiles(rs.len(), 2, &ids)
+            .expect("local tiles");
+        assert_eq!(segments, local);
+        let values: usize = local.iter().map(|s| s.values.len()).sum();
+        assert!(8 * values > BUDGET, "tile stream of {values} values");
+
+        // The connection is still in step afterwards.
+        assert_eq!(client.knn(rs[0].party_id, 2).expect("knn").len(), 2);
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread");
+    });
+    assert_eq!(server.stats().reactor.busy_rejections, 0);
+}
+
+/// The default budget admits any frame the protocol admits: a full
+/// matrix just over 8 MiB (the old default budget) is served whole.
+#[test]
+fn default_budget_serves_a_full_matrix_over_8_mib() {
+    let config = SketchConfig::builder()
+        .input_dim(8)
+        .alpha(0.4)
+        .beta(0.2)
+        .epsilon(2.0)
+        .build()
+        .expect("config");
+    let spec = SketcherSpec::new(Construction::SjltAuto, config, Seed::new(55));
+    let rs = releases(&spec, 1100);
+    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    reference.ingest_batch(&rs).expect("ingest");
+    let matrix = reference.pairwise_all();
+    assert!(8 * matrix.as_flat().len() > 8 << 20);
+
+    let mut served = QueryEngine::new(SketchStore::with_spec(spec).expect("store"));
+    served.ingest_batch(&rs).expect("ingest");
+    let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
+    let server = Server::bind(requested, served).expect("bind");
+    let endpoint = server.local_endpoint();
+    let answer = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve(1));
+        let mut client = Client::connect(&endpoint).expect("connect");
+        let answer = client.pairwise(&[]);
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread");
+        answer
+    });
+    let (parties, values) = answer.expect("full matrix");
+    assert_eq!(parties, reference.store().party_ids());
+    assert_bits(&values, matrix.as_flat(), "full matrix");
+}
+
+#[test]
+fn wedged_connection_does_not_block_a_single_loop() {
+    // A half-open client costs the event loop only a buffer: with a
+    // single loop, a healthy client must still be served at once.
+    let spec = spec(64);
+    let rs = releases(&spec, 2);
+    let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
+    let server = Server::bind(requested, QueryEngine::new(SketchStore::adopting())).expect("bind");
+    let endpoint = server.local_endpoint();
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve(1));
+        // The wedge: a partial frame header, then silence.
         let mut wedged = connect(&endpoint).expect("connect wedged");
         wedged.write_all(&[7, 0]).expect("partial header");
-        // A healthy client queued behind the wedge must get served once
-        // the read timeout frees the thread.
+        // A healthy client on the same (only) loop is served at once.
         let started = Instant::now();
         let mut client = Client::connect(&endpoint).expect("connect healthy");
         client.hello(&spec).expect("hello");
@@ -325,25 +294,12 @@ fn thread_mode_frees_wedged_connections_via_conn_timeout() {
         }
         assert!(
             started.elapsed() < Duration::from_secs(10),
-            "wedged client still pins the serving thread: {:?}",
+            "wedged client blocks the loop: {:?}",
             started.elapsed()
         );
-        drop(wedged);
+        // Shutdown is not held up by the wedge either.
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread");
+        drop(wedged);
     });
-}
-
-#[test]
-fn serve_mode_parses_the_cli_values() {
-    assert_eq!(ServeMode::parse("threads").unwrap(), ServeMode::Threads);
-    assert_eq!(ServeMode::parse("evloop").unwrap(), ServeMode::EvLoop);
-    assert!(ServeMode::parse("fibers").is_err());
-    // A decoded request round-trips through the same codec both modes
-    // share (sanity that the script driver above is well-formed).
-    let payload = encode_request(&Request::TopPairs { t: 2 }).unwrap();
-    assert!(matches!(
-        decode_request(&payload),
-        Ok(Request::TopPairs { t: 2 })
-    ));
 }

@@ -97,12 +97,8 @@ fn a_restarted_worker_resyncs_via_snapshot_plus_suffix_after_compaction() {
     let ep_b = Endpoint::Unix(sock_b.clone());
     let coord_endpoint = Endpoint::Unix(coord_socket.clone());
 
-    // Worker A gets a short conn timeout so its pooled-connection
-    // thread notices the shutdown flag promptly — the in-process stand-
-    // in for SIGKILL.
     let worker_a = Server::bind(ep_a.clone(), QueryEngine::new(SketchStore::adopting()))
-        .expect("bind worker a")
-        .with_conn_timeout(Some(Duration::from_millis(200)));
+        .expect("bind worker a");
     let worker_b = Server::bind(ep_b.clone(), QueryEngine::new(SketchStore::adopting()))
         .expect("bind worker b");
 

@@ -177,9 +177,9 @@ fn ingest_before_hello_adopts_and_serves() {
 
 #[test]
 fn shutdown_unblocks_every_worker() {
-    // Regression: with more accept loops than the wake-up default, a
-    // single Shutdown must still unblock all of them and let serve()
-    // return (each idle worker sits blocked in accept until woken).
+    // A single Shutdown must end every one of many event loops and let
+    // serve() return — the idle loops, which never saw the request,
+    // included.
     let socket = scratch_socket("manyworkers");
     let endpoint = Endpoint::Unix(socket.clone());
     let server =
