@@ -11,20 +11,82 @@
 //! * **incremental all-pairs**: one new row into a warm engine versus
 //!   recomputing the whole matrix the way the slice-based surface had
 //!   to.
+//! * **publish scaling**: one `SharedEngine::mutate(|e| e.ingest(..))`
+//!   per row — store append plus snapshot publish, the server's ingest
+//!   path — into stores of 1k, 16k and 64k rows (`--quick`: 256, 1k,
+//!   4k). Each of 5 runs preloads a fresh engine and times
+//!   `PUBLISH_ROWS` single-row mutations; the record keeps the median,
+//!   min and max per-row time. The gate fails the run when the median
+//!   at the largest store exceeds twice the median at the smallest:
+//!   publication must not grow with the store.
 //!
 //! Every engine answer is verified bit-identical to the slice path
-//! before timing. Writes machine-readable `BENCH_engine.json`.
+//! before timing. Writes machine-readable `BENCH_engine.json` with the
+//! CPU model and `nproc`.
 //!
 //! Usage: `bench_engine [--quick] [--out <path>]`
 
-use dp_bench::runner::time_per_op;
+use dp_bench::runner::{host, time_per_op};
 use dp_bench::workload::gaussian_vec;
 use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
 use dp_core::release::Release;
 use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher};
-use dp_engine::{QueryEngine, SketchStore};
+use dp_engine::{QueryEngine, SharedEngine, SketchStore, CHUNK_ROWS};
 use dp_hashing::Seed;
+use std::time::Instant;
+
+/// Single-row mutations timed per publish-scaling run: four chunk
+/// seals, so sealing and index merges are in the average.
+const PUBLISH_ROWS: usize = 4 * CHUNK_ROWS;
+/// Publish-scaling runs per store size.
+const PUBLISH_RUNS: usize = 5;
+/// The gate: per-row publish at the largest store over the smallest.
+const PUBLISH_RATIO_LIMIT: f64 = 2.0;
+
+/// Per-row `SharedEngine::mutate(|e| e.ingest(..))` time at one store
+/// size, in microseconds, over [`PUBLISH_RUNS`] runs.
+struct PublishScaling {
+    rows: usize,
+    median_us: f64,
+    min_us: f64,
+    max_us: f64,
+}
+
+/// Time [`PUBLISH_ROWS`] single-row mutations into a fresh engine
+/// preloaded with `n` rows, per run. Releases cycle through `pool`
+/// under fresh party ids (the store never compares coordinates).
+fn publish_scaling(pool: &[Release], n: usize) -> PublishScaling {
+    let release = |id: usize| Release {
+        party_id: id as u64,
+        sketch: pool[id % pool.len()].sketch.clone(),
+    };
+    let mut per_row: Vec<f64> = (0..PUBLISH_RUNS)
+        .map(|_| {
+            let shared = SharedEngine::new(QueryEngine::new(SketchStore::adopting()));
+            shared.mutate(|e| {
+                for id in 0..n {
+                    e.ingest(&release(id)).expect("preload ingest");
+                }
+            });
+            let fresh: Vec<Release> = (n..n + PUBLISH_ROWS).map(release).collect();
+            let t0 = Instant::now();
+            for r in &fresh {
+                shared.mutate(|e| e.ingest(r).expect("ingest"));
+            }
+            let us = t0.elapsed().as_secs_f64() * 1e6 / PUBLISH_ROWS as f64;
+            assert_eq!(shared.snapshot().n(), n + PUBLISH_ROWS);
+            us
+        })
+        .collect();
+    per_row.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    PublishScaling {
+        rows: n,
+        median_us: per_row[PUBLISH_RUNS / 2],
+        min_us: per_row[0],
+        max_us: per_row[PUBLISH_RUNS - 1],
+    }
+}
 
 struct Measurement {
     rows: usize,
@@ -180,6 +242,34 @@ fn main() {
         if all_identical { "PASS" } else { "FAIL" }
     );
 
+    let publish_sizes: &[usize] = if quick {
+        &[256, 1024, 4096]
+    } else {
+        &[1024, 16384, 65536]
+    };
+    let publish: Vec<PublishScaling> = publish_sizes
+        .iter()
+        .map(|&n| {
+            let p = publish_scaling(&releases, n);
+            println!(
+                "publish n = {n:6}: {:8.2} us/row (min {:.2}, max {:.2}) over {PUBLISH_RUNS} runs \
+                 of {PUBLISH_ROWS} rows",
+                p.median_us, p.min_us, p.max_us
+            );
+            p
+        })
+        .collect();
+    let (smallest, largest) = (&publish[0], &publish[publish.len() - 1]);
+    let publish_ratio = largest.median_us / smallest.median_us;
+    let publish_flat = publish_ratio <= PUBLISH_RATIO_LIMIT;
+    println!(
+        "CHECK [{}] per-row publish at n = {} is {publish_ratio:.2}x n = {} (limit {PUBLISH_RATIO_LIMIT}x)",
+        if publish_flat { "PASS" } else { "FAIL" },
+        largest.rows,
+        smallest.rows,
+    );
+    let (cpu, nproc) = host();
+
     let json = JsonValue::Object(vec![
         (
             "bench".to_string(),
@@ -191,6 +281,8 @@ fn main() {
         ),
         ("d".to_string(), JsonValue::UInt(d as u64)),
         ("k".to_string(), JsonValue::UInt(k as u64)),
+        ("cpu_model".to_string(), JsonValue::String(cpu)),
+        ("nproc".to_string(), JsonValue::UInt(nproc as u64)),
         ("bit_identical".to_string(), JsonValue::Bool(all_identical)),
         (
             "measurements".to_string(),
@@ -229,10 +321,49 @@ fn main() {
                     .collect(),
             ),
         ),
+        (
+            "publish".to_string(),
+            JsonValue::Object(vec![
+                (
+                    "op".to_string(),
+                    JsonValue::String("SharedEngine::mutate(|e| e.ingest(..)) per row".to_string()),
+                ),
+                (
+                    "rows_per_run".to_string(),
+                    JsonValue::UInt(PUBLISH_ROWS as u64),
+                ),
+                ("runs".to_string(), JsonValue::UInt(PUBLISH_RUNS as u64)),
+                (
+                    "measurements".to_string(),
+                    JsonValue::Array(
+                        publish
+                            .iter()
+                            .map(|p| {
+                                JsonValue::Object(vec![
+                                    ("rows".to_string(), JsonValue::UInt(p.rows as u64)),
+                                    (
+                                        "us_per_row_median".to_string(),
+                                        JsonValue::Number(p.median_us),
+                                    ),
+                                    ("us_per_row_min".to_string(), JsonValue::Number(p.min_us)),
+                                    ("us_per_row_max".to_string(), JsonValue::Number(p.max_us)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+                (
+                    "largest_over_smallest".to_string(),
+                    JsonValue::Number(publish_ratio),
+                ),
+                ("limit".to_string(), JsonValue::Number(PUBLISH_RATIO_LIMIT)),
+                ("pass".to_string(), JsonValue::Bool(publish_flat)),
+            ]),
+        ),
     ]);
     std::fs::write(out_path, json.to_string()).expect("write BENCH_engine.json");
     println!("wrote {out_path}");
-    if !all_identical {
+    if !all_identical || !publish_flat {
         std::process::exit(1);
     }
 }

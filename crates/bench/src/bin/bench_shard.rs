@@ -265,7 +265,7 @@ fn main() {
     for r in releases {
         local_engine.ingest(r).expect("ingest");
     }
-    let all_ids: Vec<u64> = local_engine.store().party_ids().to_vec();
+    let all_ids: Vec<u64> = local_engine.store().party_ids().collect();
     let local_matrix = local_engine.pairwise_all();
     let iters = if quick { 3 } else { 8 };
     let ns_local = time_per_op(iters, || {

@@ -47,6 +47,22 @@ pub fn time_per_op(iters: u32, mut f: impl FnMut()) -> f64 {
     rounds[2]
 }
 
+/// The host's CPU model (`model name` in `/proc/cpuinfo`, else
+/// `"unknown"`) and its available parallelism, for bench records.
+#[must_use]
+pub fn host() -> (String, usize) {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|t| {
+            t.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|v| v.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+    (cpu, nproc)
+}
+
 /// A pass/fail ledger for an experiment binary. Prints `CHECK` lines the
 /// run_all driver and EXPERIMENTS.md extraction grep for.
 #[derive(Debug, Default)]

@@ -1013,33 +1013,35 @@ pub fn pairwise_sq_distances_with_par<'a, T: Sync>(
     Ok(pairwise_sq_distances_rows(
         n,
         |i| sketch_of(&items[i]).values(),
-        &debias,
+        |i| debias[i],
         par,
     ))
 }
 
 /// The raw tiled kernel over row slices: pair `(i, j)`, `i < j`, is
-/// `Σ (row_i − row_j)² − debias[i]`, written symmetrically into a flat
+/// `Σ (row_i − row_j)² − debias(i)`, written symmetrically into a flat
 /// row-major matrix with a zero diagonal. This is the layer shared by
 /// [`pairwise_sq_distances_with_par`] (which first validates sketch
 /// compatibility and hoists the debias constants) and the `dp-engine`
-/// sketch store (whose flat arena validates at ingest time); both are
+/// sketch store (whose chunked arena validates at ingest time); both are
 /// bit-identical to [`pairwise_sq_distances_reference`] because the
 /// inner expression is exactly the per-pair estimator's.
 ///
+/// `row_values` and `debias` are called only with rows `< n`.
+///
 /// # Panics
-/// If `debias.len() != n` or any row slice is shorter than row 0 (rows
-/// must all have the sketch dimension `k`; callers validate).
-pub fn pairwise_sq_distances_rows<'a, R>(
+/// If any row slice is shorter than row 0 (rows must all have the
+/// sketch dimension `k`; callers validate).
+pub fn pairwise_sq_distances_rows<'a, R, D>(
     n: usize,
     row_values: R,
-    debias: &[f64],
+    debias: D,
     par: &Parallelism,
 ) -> PairwiseDistances
 where
     R: Fn(usize) -> &'a [f64] + Sync,
+    D: Fn(usize) -> f64 + Sync,
 {
-    assert_eq!(debias.len(), n, "one debias constant per row");
     if n == 0 {
         return PairwiseDistances {
             n: 0,
@@ -1070,7 +1072,7 @@ where
         let mut w = 0usize;
         for tile in &tiles[groups[group].clone()] {
             let len = tile.pair_count();
-            fill_tile_segment(tile, &row_values, debias, kernel, &mut segment[w..w + len]);
+            fill_tile_segment(tile, &row_values, &debias, kernel, &mut segment[w..w + len]);
             w += len;
         }
         debug_assert_eq!(w, segment.len(), "group fills its segment exactly");
@@ -1113,23 +1115,24 @@ pub fn effective_plan(n: usize, par: &Parallelism) -> TilePlan {
 /// column slice is resolved once per tile (not once per pair) and each
 /// row slice plus its debias constant once per row. The hoists change
 /// no arithmetic — the per-pair expression is exactly
-/// [`kernel::sq_distance`] minus `debias[i]` — so V1 bit patterns are
+/// [`kernel::sq_distance`] minus `debias(i)` — so V1 bit patterns are
 /// untouched (guarded by the bit-identity suites).
-fn fill_tile_segment<'a, R>(
+fn fill_tile_segment<'a, R, D>(
     tile: &Tile,
     row_values: &R,
-    debias: &[f64],
+    debias: &D,
     kernel: KernelId,
     out: &mut [f64],
 ) where
     R: Fn(usize) -> &'a [f64],
+    D: Fn(usize) -> f64,
 {
     let cols: Vec<&'a [f64]> = tile.cols().map(row_values).collect();
     let col_start = tile.cols().start;
     let mut w = 0usize;
     for i in tile.rows() {
         let a = row_values(i);
-        let debias_i = debias[i];
+        let debias_i = debias(i);
         for j in tile.cols() {
             if j <= i {
                 continue;
@@ -1172,27 +1175,27 @@ pub fn scatter_tile_segment(tile: &Tile, segment: &[f64], n: usize, values: &mut
 /// output order is id-list order regardless of scheduling.
 ///
 /// # Panics
-/// If `debias.len() != plan.n()` or an id is outside the plan (callers
-/// validate ids against [`TilePlan::tile_count`] first — the engine and
-/// protocol layers return typed errors instead).
-pub fn execute_tiles<'a, R>(
+/// If an id is outside the plan (callers validate ids against
+/// [`TilePlan::tile_count`] first — the engine and protocol layers
+/// return typed errors instead).
+pub fn execute_tiles<'a, R, D>(
     plan: &TilePlan,
     ids: &[u64],
     row_values: R,
-    debias: &[f64],
+    debias: D,
     par: &Parallelism,
 ) -> Vec<TileSegment>
 where
     R: Fn(usize) -> &'a [f64] + Sync,
+    D: Fn(usize) -> f64 + Sync,
 {
-    assert_eq!(debias.len(), plan.n(), "one debias constant per row");
     let kernel = par.kernel();
     par_map(ids, par.threads(), |_, &tile_id| {
         let tile = plan
             .tile_at(usize::try_from(tile_id).expect("id fits usize"))
             .expect("tile id validated against the plan");
         let mut values = vec![0.0f64; tile.pair_count()];
-        fill_tile_segment(&tile, &row_values, debias, kernel, &mut values);
+        fill_tile_segment(&tile, &row_values, &debias, kernel, &mut values);
         TileSegment { tile_id, values }
     })
 }

@@ -464,7 +464,7 @@ pub(crate) fn subset_pairwise(
     par: &Parallelism,
 ) -> PairwiseDistances {
     if let Some(matrix) = memo {
-        if store.debias_uniform() && rows_distinct(rows, store.n()) {
+        if store.debias_uniform() && rows_distinct(rows) {
             let m = rows.len();
             let mut flat = Vec::with_capacity(m * m);
             for &a in rows {
@@ -475,21 +475,28 @@ pub(crate) fn subset_pairwise(
             return PairwiseDistances::from_flat(m, flat);
         }
     }
-    let debias: Vec<f64> = rows.iter().map(|&r| store.debias_at(r)).collect();
-    pairwise_sq_distances_rows(rows.len(), |i| store.row_values(rows[i]), &debias, par)
+    pairwise_sq_distances_rows(
+        rows.len(),
+        |i| store.row_values(rows[i]),
+        |i| store.debias_at(rows[i]),
+        par,
+    )
 }
 
-/// Whether every row index appears at most once (`n` = store rows, for
-/// a one-pass bitmap instead of a hash set).
-fn rows_distinct(rows: &[usize], n: usize) -> bool {
-    let mut seen = vec![false; n];
-    rows.iter().all(|&r| !std::mem::replace(&mut seen[r], true))
+/// Whether every row index appears at most once — checked on a sorted
+/// copy of the `m` requested rows, so the cost is O(m log m) whatever
+/// the store size.
+fn rows_distinct(rows: &[usize]) -> bool {
+    let mut sorted = rows.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|w| w[0] != w[1])
 }
 
 /// The k-NN scan behind [`QueryEngine::knn_row`] and
 /// [`crate::EngineSnapshot::knn`]: every candidate not sharing the
 /// query row's party id, scored with the **query row's** debias
-/// constant, ascending, truncated to `k`.
+/// constant, ascending, truncated to `k`. Candidates are walked chunk
+/// by chunk in row order.
 pub(crate) fn knn_over(
     store: &SketchStore,
     row: usize,
@@ -498,14 +505,21 @@ pub(crate) fn knn_over(
 ) -> Vec<Neighbor> {
     let query_id = store.party_at(row);
     let query = store.row_values(row);
+    let dim = query.len();
     let debias = store.debias_at(row);
-    let mut scored: Vec<Neighbor> = (0..store.n())
-        .filter(|&c| store.party_at(c) != query_id)
-        .map(|c| Neighbor {
-            party_id: store.party_at(c),
-            estimated_sq_distance: raw_sq_distance(kernel, query, store.row_values(c)) - debias,
-        })
-        .collect();
+    let mut scored: Vec<Neighbor> = Vec::with_capacity(store.n());
+    for (ids, values) in store.row_chunks() {
+        for (offset, &party_id) in ids.iter().enumerate() {
+            if party_id == query_id {
+                continue;
+            }
+            let candidate = &values[offset * dim..(offset + 1) * dim];
+            scored.push(Neighbor {
+                party_id,
+                estimated_sq_distance: raw_sq_distance(kernel, query, candidate) - debias,
+            });
+        }
+    }
     scored.sort_by(|a, b| {
         a.estimated_sq_distance
             .partial_cmp(&b.estimated_sq_distance)
@@ -523,10 +537,11 @@ pub(crate) fn top_pairs_over(
     t: usize,
 ) -> Vec<(u64, u64, f64)> {
     let n = matrix.n();
+    let ids: Vec<u64> = store.party_ids().take(n).collect();
     let mut pairs: Vec<(u64, u64, f64)> = Vec::with_capacity(n * (n.saturating_sub(1)) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            pairs.push((store.party_at(i), store.party_at(j), matrix.at(i, j)));
+    for (i, &a) in ids.iter().enumerate() {
+        for (j, &b) in ids.iter().enumerate().skip(i + 1) {
+            pairs.push((a, b, matrix.at(i, j)));
         }
     }
     pairs.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite estimates"));
@@ -569,7 +584,13 @@ pub(crate) fn execute_tiles_over(
     ids: &[u64],
     par: &Parallelism,
 ) -> Vec<TileSegment> {
-    execute_tiles(plan, ids, |i| store.row_values(i), store.debias(), par)
+    execute_tiles(
+        plan,
+        ids,
+        |i| store.row_values(i),
+        |i| store.debias_at(i),
+        par,
+    )
 }
 
 /// The kernel's inner expression: the versioned accumulator from
@@ -578,4 +599,21 @@ pub(crate) fn execute_tiles_over(
 #[inline]
 fn raw_sq_distance(kernel: KernelId, a: &[f64], b: &[f64]) -> f64 {
     dp_core::kernel::sq_distance(kernel, a, b)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::rows_distinct;
+
+    #[test]
+    fn rows_distinct_finds_duplicates_anywhere_in_the_subset() {
+        assert!(rows_distinct(&[]));
+        assert!(rows_distinct(&[7]));
+        assert!(rows_distinct(&[9, 0, 5, 3]));
+        assert!(!rows_distinct(&[4, 1, 8, 1]));
+        assert!(!rows_distinct(&[2, 2]));
+        // The check never sizes anything by the row indices themselves.
+        assert!(rows_distinct(&[usize::MAX, 0]));
+        assert!(!rows_distinct(&[usize::MAX, 3, usize::MAX]));
+    }
 }

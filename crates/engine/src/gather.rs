@@ -259,7 +259,7 @@ mod tests {
             plan,
             &ids,
             |i| data[i].as_slice(),
-            debias,
+            |i| debias[i],
             &Parallelism::sequential(),
         )
     }
@@ -273,7 +273,7 @@ mod tests {
         let reference = dp_core::pairwise_sq_distances_rows(
             n,
             |i| data[i].as_slice(),
-            &debias,
+            |i| debias[i],
             &Parallelism::sequential(),
         );
         let mut segments = segments_for(&plan, &data, &debias);
@@ -354,7 +354,7 @@ mod tests {
         let old = dp_core::pairwise_sq_distances_rows(
             old_n,
             |i| data[i].as_slice(),
-            &debias[..old_n],
+            |i| debias[i],
             &Parallelism::sequential(),
         );
 
@@ -373,7 +373,7 @@ mod tests {
             &plan,
             &frontier,
             |i| data[i].as_slice(),
-            &debias,
+            |i| debias[i],
             &Parallelism::sequential(),
         );
         for s in &segments {
@@ -383,7 +383,7 @@ mod tests {
         let reference = dp_core::pairwise_sq_distances_rows(
             n,
             |i| data[i].as_slice(),
-            &debias,
+            |i| debias[i],
             &Parallelism::sequential(),
         );
         let got = gather.finish().unwrap();
@@ -433,7 +433,7 @@ mod tests {
         let reference = dp_core::pairwise_sq_distances_rows(
             n,
             |i| data[i].as_slice(),
-            &debias,
+            |i| debias[i],
             &Parallelism::sequential(),
         );
         for (a, b) in reference.as_flat().iter().zip(got.as_flat()) {

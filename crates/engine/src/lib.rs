@@ -6,8 +6,8 @@
 //! this crate is their long-lived home:
 //!
 //! * [`SketchStore`] — owns the shared [`dp_core::SketcherSpec`], one
-//!   [`dp_core::wire::TagInterner`], and every ingested sketch in a
-//!   flat `n × k` arena. Ingest accepts decoded
+//!   [`dp_core::wire::TagInterner`], and every ingested sketch in an
+//!   `n × k` arena of `Arc`-shared chunks. Ingest accepts decoded
 //!   [`dp_core::release::Release`] frames or raw `DPRL` bytes, and
 //!   rejects incompatible sketches and duplicate party ids with typed
 //!   [`EngineError`]s. All validation happens once, at ingest.
@@ -35,12 +35,14 @@
 //! and the bench harness — per the repo's determinism contract, all
 //! of them bit-identical to the naive per-pair reference.
 
+mod arena;
 pub mod engine;
 pub mod error;
 pub mod gather;
 pub mod snapshot;
 pub mod store;
 
+pub use arena::CHUNK_ROWS;
 pub use engine::{Neighbor, QueryEngine};
 pub use error::EngineError;
 pub use gather::{Gather, GatherError};

@@ -11,10 +11,14 @@
 //!
 //! * **Mutations** ([`SharedEngine::mutate`]) lock the engine, run, and
 //!   — iff the engine's [`QueryEngine::generation`] moved — **publish**
-//!   a fresh immutable [`EngineSnapshot`]: a clone of the store (flat
-//!   arenas copied, interned tags shared), the memoized all-pairs
-//!   matrix when warm, and the hoisted debias constants, stamped with a
-//!   monotonically increasing *epoch*.
+//!   a fresh immutable [`EngineSnapshot`]: a clone of the store, the
+//!   memoized all-pairs matrix when warm, and the hoisted debias
+//!   constants, stamped with a monotonically increasing *epoch*. The
+//!   clone costs O(1) in the store size: it shares every sealed row
+//!   chunk, the open tail chunks, the party-index levels and the
+//!   interned tags, copying pointers only; the engine's next ingest
+//!   copies the open tail chunk it shares (at most
+//!   [`crate::CHUNK_ROWS`] rows), never the store.
 //! * **Reads** run against a published snapshot. The hot path
 //!   ([`SharedEngine::refresh`]) is one atomic epoch load: when the
 //!   caller's cached `Arc<EngineSnapshot>` is still current, no lock is
@@ -465,5 +469,142 @@ mod tests {
             }
         });
         assert_eq!(shared.snapshot().n(), 8);
+    }
+
+    /// Assert that `snap` answers exactly as `model` — the prefix's
+    /// releases in row order, a flat reference — and encodes exactly as
+    /// a store built fresh from it.
+    fn assert_snapshot_matches_prefix(snap: &EngineSnapshot, model: &[Release], probes: &[u64]) {
+        let m = model.len();
+        assert_eq!(snap.n(), m);
+        let kernel = QueryEngine::default().parallelism().kernel();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let store = snap.store();
+        let debias = |r: &Release| 2.0 * r.sketch.k() as f64 * r.sketch.noise_second_moment();
+        for (row, r) in model.iter().enumerate() {
+            assert_eq!(
+                bits(store.row_values(row)),
+                bits(r.sketch.values()),
+                "m={m} row {row}"
+            );
+            assert_eq!(store.debias_at(row).to_bits(), debias(r).to_bits());
+            assert_eq!(store.party_at(row), r.party_id);
+        }
+        let first_row = |id: u64| model.iter().position(|r| r.party_id == id);
+        for &id in probes {
+            assert_eq!(store.row_of(id), first_row(id), "m={m} row_of({id})");
+        }
+        // pair and knn, recomputed from the flat model.
+        let queries: Vec<u64> = [0, m / 2, m.saturating_sub(1)]
+            .iter()
+            .filter(|&&r| r < m)
+            .map(|&r| model[r].party_id)
+            .collect();
+        for &a in &queries {
+            let qa = first_row(a).expect("query party is stored");
+            for &b in &queries {
+                let qb = first_row(b).expect("query party is stored");
+                let want = if qa == qb {
+                    0.0
+                } else {
+                    let (lo, hi) = (qa.min(qb), qa.max(qb));
+                    dp_core::kernel::sq_distance(
+                        kernel,
+                        model[lo].sketch.values(),
+                        model[hi].sketch.values(),
+                    ) - debias(&model[lo])
+                };
+                assert_eq!(snap.pair(a, b).unwrap().to_bits(), want.to_bits());
+            }
+            let q = &model[qa];
+            let mut want: Vec<(u64, f64)> = model
+                .iter()
+                .filter(|c| c.party_id != a)
+                .map(|c| {
+                    let raw =
+                        dp_core::kernel::sq_distance(kernel, q.sketch.values(), c.sketch.values());
+                    (c.party_id, raw - debias(q))
+                })
+                .collect();
+            want.sort_by(|x, y| x.1.partial_cmp(&y.1).expect("finite"));
+            want.truncate(5);
+            let got: Vec<(u64, u64)> = snap
+                .knn(a, 5)
+                .unwrap()
+                .iter()
+                .map(|n| (n.party_id, n.estimated_sq_distance.to_bits()))
+                .collect();
+            let want: Vec<(u64, u64)> = want.iter().map(|&(p, d)| (p, d.to_bits())).collect();
+            assert_eq!(got, want, "m={m} knn({a})");
+        }
+        // The held snapshot encodes exactly as a store built fresh from
+        // the prefix, with no snapshot ever sharing its chunks.
+        let mut fresh = SketchStore::adopting();
+        for r in model {
+            fresh.ingest_row(r).unwrap();
+        }
+        assert_eq!(
+            store.encode_snapshot(snap.generation()),
+            fresh.encode_snapshot(snap.generation()),
+            "m={m}"
+        );
+    }
+
+    #[test]
+    fn held_snapshots_match_their_prefix_across_chunk_and_index_boundaries() {
+        use crate::arena::CHUNK_ROWS;
+        // Past four chunk seals, so the index merges levels of 1 + 1
+        // and then 2 + 1 + 1 chunks.
+        let target = 4 * CHUNK_ROWS + 5;
+        let rels = releases(target, 12);
+        let shared = SharedEngine::new(QueryEngine::default());
+        let mut model: Vec<Release> = Vec::new();
+        let mut held: Vec<(Arc<EngineSnapshot>, usize)> = Vec::new();
+        for m in 0..target {
+            // Lenient duplicates of an id from a sealed chunk and of one
+            // from the open tail: rows are appended, first row wins.
+            let dup_of = if m % 37 == 36 {
+                Some(m / 3)
+            } else if m % 41 == 40 {
+                Some(m - 2)
+            } else {
+                None
+            };
+            let release = Release {
+                party_id: dup_of.map_or(rels[m].party_id, |r| model[r].party_id),
+                sketch: rels[m].sketch.clone(),
+            };
+            let row = shared.mutate(|e| match dup_of {
+                Some(_) => e.ingest_row(&release),
+                None => e.ingest(&release),
+            });
+            assert_eq!(row.unwrap(), m);
+            model.push(release);
+            let epoch = shared.epoch();
+            // Rejected ingests — a strict duplicate and an incompatible
+            // noise calibration — publish nothing and leave no trace.
+            if m % 19 == 7 {
+                let dup = model[m / 2].clone();
+                assert!(shared.mutate(|e| e.ingest(&dup)).is_err());
+                let s = &rels[0].sketch;
+                let alien = Release {
+                    party_id: 9_999_999,
+                    sketch: dp_core::NoisySketch::new(
+                        s.values().to_vec(),
+                        s.transform_tag(),
+                        2.0 * s.noise_second_moment(),
+                        s.noise_fourth_moment(),
+                    ),
+                };
+                assert!(shared.mutate(|e| e.ingest_row(&alien)).is_err());
+                assert_eq!(shared.epoch(), epoch);
+            }
+            held.push((shared.snapshot(), model.len()));
+        }
+        let mut probes: Vec<u64> = rels.iter().map(|r| r.party_id).collect();
+        probes.push(9_999_999);
+        for (snap, m) in &held {
+            assert_snapshot_matches_prefix(snap, &model[..*m], &probes);
+        }
     }
 }

@@ -1,15 +1,17 @@
 //! The persistent, incremental home of released sketches.
 //!
 //! A [`SketchStore`] owns the shared [`SketcherSpec`], one
-//! [`TagInterner`], and every ingested sketch in a **flat arena**: one
-//! contiguous `n × k` `Vec<f64>` of sketch coordinates plus per-row
-//! metadata (party id, noise moments, hoisted debias constant). All
-//! compatibility checking happens **once, at ingest** — the exact
-//! vs-anchor + moment-span discipline of the tiled all-pairs kernel —
-//! so the query layer ([`crate::QueryEngine`]) never re-validates and
-//! never re-interns, which is what makes per-pair queries O(k) and
-//! repeated ingest allocation-free for tags.
+//! [`TagInterner`], and every ingested sketch in **chunked arenas**:
+//! the `n × k` sketch coordinates plus per-row metadata (party id,
+//! noise moments, hoisted debias constant), each an append-only run of
+//! `Arc`-shared chunks (see the `arena` module). All compatibility
+//! checking happens **once, at ingest** — the exact vs-anchor +
+//! moment-span discipline of the tiled all-pairs kernel — so the query
+//! layer ([`crate::QueryEngine`]) never re-validates and never
+//! re-interns, which is what makes per-pair queries O(k) and repeated
+//! ingest allocation-free for tags.
 
+use crate::arena::{Arena, CHUNK_ROWS};
 use crate::error::EngineError;
 use dp_core::error::CoreError;
 use dp_core::release::{parse_release_bytes, Release};
@@ -63,6 +65,61 @@ impl Hasher for PartyIdHasher {
 // deterministic hasher; it is never iterated, so no hash order reaches output.
 type PartyIndex = HashMap<u64, usize, BuildHasherDefault<PartyIdHasher>>;
 
+/// Party id → first row over the sealed chunks, log-structured so a
+/// store clone shares it: each level is an immutable map over a run of
+/// `2^j` sealed chunks, oldest first with `j` strictly decreasing. When
+/// a chunk seals, it and every level it completes a binary carry with
+/// merge into one new level. A lookup probes the levels oldest first,
+/// so the first row of a duplicated id wins; ids in the open tail chunk
+/// are scanned by [`SketchStore::row_of`].
+#[derive(Debug, Clone, Default)]
+struct LogIndex {
+    levels: Vec<IndexLevel>,
+}
+
+#[derive(Debug, Clone)]
+struct IndexLevel {
+    /// Sealed chunks this level covers (a power of two).
+    chunks: usize,
+    map: Arc<PartyIndex>,
+}
+
+impl LogIndex {
+    fn get(&self, party_id: u64) -> Option<usize> {
+        self.levels
+            .iter()
+            .find_map(|level| level.map.get(&party_id).copied())
+    }
+
+    /// Index the chunk `party_ids` just sealed. Levels of 1, 2, 4, …
+    /// chunks ending at the newest merge with it into one level: the
+    /// oldest of them is kept (copied only if a clone shares it) and the
+    /// newer rows are inserted in row order, first row winning.
+    fn seal(&mut self, party_ids: &Arena<u64>) {
+        let end = party_ids.sealed_rows();
+        let mut chunks = 1;
+        let mut oldest: Option<IndexLevel> = None;
+        while self.levels.last().is_some_and(|l| l.chunks == chunks) {
+            let level = self.levels.pop().expect("a last level was just seen");
+            chunks += level.chunks;
+            oldest = Some(level);
+        }
+        let (mut map, kept) = match oldest {
+            Some(level) => (Arc::unwrap_or_clone(level.map), level.chunks),
+            None => (PartyIndex::default(), 0),
+        };
+        let from = end - (chunks - kept) * CHUNK_ROWS;
+        map.reserve(end - from);
+        for row in from..end {
+            map.entry(party_ids.at(row)).or_insert(row);
+        }
+        self.levels.push(IndexLevel {
+            chunks,
+            map: Arc::new(map),
+        });
+    }
+}
+
 /// The relative tolerance under which two noise second moments are
 /// considered the same calibration — identical to
 /// [`dp_core::NoisySketch::check_compatible`] and the batch span check
@@ -79,12 +136,14 @@ struct Identity {
     k: usize,
 }
 
-/// A flat-arena store of released sketches sharing one transform.
+/// A chunked-arena store of released sketches sharing one transform.
 ///
-/// Cloning a store copies the flat arenas (`O(n·k)`) but *shares* the
-/// interned tag allocations — this is what snapshot publication
-/// ([`crate::SharedEngine`]) does on every mutation, so the cost is
-/// paid once per ingest, never per query.
+/// Cloning a store costs O(1) in its size: the clone *shares* every
+/// sealed chunk, the open tail chunks, the party index levels and the
+/// interned tag allocations, copying only pointers. This is what
+/// snapshot publication ([`crate::SharedEngine`]) does on every
+/// mutation; the next append then copies at most one open chunk per
+/// arena (copy-on-write), so neither side ever copies the whole store.
 #[derive(Debug, Default, Clone)]
 pub struct SketchStore {
     /// The shared public parameters, when the store was built from them.
@@ -96,19 +155,19 @@ pub struct SketchStore {
     /// through it, so a million releases of one sketcher hold one tag
     /// allocation.
     interner: TagInterner,
-    /// Flat `n × k` arena of sketch coordinates.
-    values: Vec<f64>,
+    /// `n × k` sketch coordinates, one arena row per sketch.
+    values: Arena<f64>,
     /// Per-row noise second moment `E[η²]`.
-    m2: Vec<f64>,
+    m2: Arena<f64>,
     /// Per-row noise fourth moment `E[η⁴]`.
-    m4: Vec<f64>,
+    m4: Arena<f64>,
     /// Per-row hoisted debias constant `2k·E[η²]`.
-    debias: Vec<f64>,
+    debias: Arena<f64>,
     /// Per-row sender identity, in ingest order.
-    party_ids: Vec<u64>,
-    /// Party id → row, for by-id queries (first row wins on the lenient
-    /// ingest path).
-    index: PartyIndex,
+    party_ids: Arena<u64>,
+    /// Party id → row over the sealed chunks, for by-id queries (first
+    /// row wins on the lenient ingest path).
+    index: LogIndex,
     /// Running bounds on the noise moments, for the batch span check.
     m2_min: f64,
     m2_max: f64,
@@ -170,7 +229,7 @@ impl SketchStore {
     /// Whether no release has been ingested yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.party_ids.is_empty()
+        self.n() == 0
     }
 
     /// The sketch dimension, once known (from the spec or first ingest).
@@ -186,9 +245,8 @@ impl SketchStore {
     }
 
     /// Party ids in ingest (row) order.
-    #[must_use]
-    pub fn party_ids(&self) -> &[u64] {
-        &self.party_ids
+    pub fn party_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.party_ids.into_iter().copied()
     }
 
     /// The party id of a row.
@@ -197,23 +255,32 @@ impl SketchStore {
     /// If `row` is out of range.
     #[must_use]
     pub fn party_at(&self, row: usize) -> u64 {
-        self.party_ids[row]
+        self.party_ids.at(row)
     }
 
-    /// The row a party id landed in, if ingested.
+    /// The row a party id landed in, if ingested (its first row, when
+    /// the lenient path appended it more than once).
     #[must_use]
     pub fn row_of(&self, party_id: u64) -> Option<usize> {
-        self.index.get(&party_id).copied()
+        self.index.get(party_id).or_else(|| {
+            let tail = self.party_ids.tail().iter().position(|&p| p == party_id)?;
+            Some(self.party_ids.sealed_rows() + tail)
+        })
     }
 
-    /// A row's sketch coordinates (a `k`-long slice of the arena).
+    /// A row's sketch coordinates (`k` values).
     ///
     /// # Panics
     /// If `row` is out of range.
     #[must_use]
     pub fn row_values(&self, row: usize) -> &[f64] {
-        let k = self.identity.as_ref().expect("rows imply identity").k;
-        &self.values[row * k..(row + 1) * k]
+        self.values.row(row)
+    }
+
+    /// The rows chunk by chunk, in row order: each item pairs a chunk's
+    /// party ids with its coordinates (`k` values per id).
+    pub(crate) fn row_chunks(&self) -> impl Iterator<Item = (&[u64], &[f64])> {
+        self.party_ids.chunks().zip(self.values.chunks())
     }
 
     /// A row's hoisted debias constant `2k·E[η²]`.
@@ -222,13 +289,7 @@ impl SketchStore {
     /// If `row` is out of range.
     #[must_use]
     pub fn debias_at(&self, row: usize) -> f64 {
-        self.debias[row]
-    }
-
-    /// Per-row debias constants, in row order.
-    #[must_use]
-    pub fn debias(&self) -> &[f64] {
-        &self.debias
+        self.debias.at(row)
     }
 
     /// Whether every row's debias constant is bitwise equal to the
@@ -254,8 +315,8 @@ impl SketchStore {
         dp_core::NoisySketch::new(
             self.row_values(row).to_vec(),
             Arc::clone(&identity.tag),
-            self.m2[row],
-            self.m4[row],
+            self.m2.at(row),
+            self.m4.at(row),
         )
     }
 
@@ -281,7 +342,7 @@ impl SketchStore {
     /// [`EngineError::Incompatible`] if the sketch doesn't match the
     /// store's transform tag, dimension, or noise calibration.
     pub fn ingest(&mut self, release: &Release) -> Result<usize, EngineError> {
-        if self.index.contains_key(&release.party_id) {
+        if self.row_of(release.party_id).is_some() {
             return Err(EngineError::DuplicateParty(release.party_id));
         }
         self.ingest_row(release)
@@ -337,7 +398,7 @@ impl SketchStore {
             // check plus a bound on the whole batch's moment span, so
             // the store accepts precisely the batches the per-pair
             // reference accepted.
-            let anchor = self.m2[0];
+            let anchor = self.m2.at(0);
             if !moments_compatible(anchor, m2) {
                 return Err(EngineError::Incompatible {
                     party_id: release.party_id,
@@ -355,15 +416,16 @@ impl SketchStore {
             self.m2_min = min;
             self.m2_max = max;
             self.debias_uniform =
-                self.debias_uniform && debias.to_bits() == self.debias[0].to_bits();
+                self.debias_uniform && debias.to_bits() == self.debias.at(0).to_bits();
         }
         let row = self.n();
-        self.values.extend_from_slice(sketch.values());
-        self.m2.push(m2);
-        self.m4.push(sketch.noise_fourth_moment());
-        self.debias.push(debias);
-        self.party_ids.push(release.party_id);
-        self.index.entry(release.party_id).or_insert(row);
+        self.values.push(sketch.values());
+        self.m2.push(&[m2]);
+        self.m4.push(&[sketch.noise_fourth_moment()]);
+        self.debias.push(&[debias]);
+        if self.party_ids.push(&[release.party_id]) {
+            self.index.seal(&self.party_ids);
+        }
         Ok(row)
     }
 
@@ -689,7 +751,7 @@ mod tests {
         assert_eq!(a.n(), b.n());
         assert_eq!(a.k(), b.k());
         assert_eq!(a.tag(), b.tag());
-        assert_eq!(a.party_ids(), b.party_ids());
+        assert!(a.party_ids().eq(b.party_ids()));
         assert_eq!(a.debias_uniform(), b.debias_uniform());
         assert_eq!(
             a.spec().map(SketcherSpec::to_json),
@@ -704,7 +766,7 @@ mod tests {
             assert_eq!(a.debias_at(row).to_bits(), b.debias_at(row).to_bits());
             assert_eq!(a.sketch_at(row), b.sketch_at(row));
         }
-        for &id in a.party_ids() {
+        for id in a.party_ids() {
             assert_eq!(a.row_of(id), b.row_of(id), "index for party {id}");
         }
     }
@@ -802,5 +864,46 @@ mod tests {
             matches!(err, EngineError::Core(CoreError::ChecksumMismatch { .. })),
             "{err}"
         );
+    }
+
+    /// A spec-bound store of 197 hand-made rows — three sealed chunks
+    /// plus an open tail — with a lenient duplicate id in the third
+    /// chunk. The rows carry no sampled noise and the spec pins its
+    /// kernel, so its bytes depend on nothing but the codec.
+    fn pinned_store() -> SketchStore {
+        let spec = spec(24).with_kernel(dp_core::KernelId::V1Scalar);
+        let sketcher = spec.build().unwrap();
+        let k = sketcher.k();
+        let tag: Arc<str> = Arc::from(sketcher.tag());
+        let mut store = SketchStore::with_spec(spec).unwrap();
+        for row in 0..197usize {
+            let values = (0..k)
+                .map(|j| ((row * 31 + j * 7) % 101) as f64 / 8.0 - 6.0)
+                .collect();
+            let party_id = if row == 150 { 1000 } else { 1000 + row as u64 };
+            store
+                .ingest_row(&Release {
+                    party_id,
+                    sketch: dp_core::NoisySketch::new(values, Arc::clone(&tag), 0.75, 2.5),
+                })
+                .unwrap();
+        }
+        store
+    }
+
+    #[test]
+    fn dpss_bytes_are_pinned_across_chunk_boundaries() {
+        let store = pinned_store();
+        assert!(store.n() > 3 * CHUNK_ROWS, "the store spans several chunks");
+        assert_eq!(store.row_of(1000), Some(0), "first row wins");
+        let bytes = store.encode_snapshot(9);
+        // FNV-1a-64 of the same store encoded by the flat-`Vec` arena
+        // this codec shipped with: the chunked arena changes no byte.
+        assert_eq!(bytes.len(), 332_788);
+        assert_eq!(fnv1a64(&bytes), 0x2f4f_3314_d320_283e);
+        let (back, generation) = SketchStore::decode_snapshot(&bytes).unwrap();
+        assert_eq!(generation, 9);
+        assert_stores_bit_identical(&store, &back);
+        assert_eq!(back.encode_snapshot(9), bytes);
     }
 }

@@ -88,7 +88,11 @@ fn main() {
     }
 
     let (ids, values) = client.pairwise(&[]).expect("sharded pairwise");
-    assert_eq!(ids, reference.store().party_ids(), "party order differs");
+    assert_eq!(
+        ids,
+        reference.store().party_ids().collect::<Vec<_>>(),
+        "party order differs"
+    );
     assert_eq!(values.len(), local.as_flat().len());
     let mut identical = true;
     for (a, b) in values.iter().zip(local.as_flat()) {

@@ -1445,7 +1445,7 @@ impl FrameService for SnapshotService<'_> {
                         // mid-flight ingest can only surface as a
                         // worker-side ERR_PLAN.
                         Some(shards) if snapshot.n() >= 2 && !shards.workers.is_empty() => {
-                            let party_ids = snapshot.store().party_ids().to_vec();
+                            let party_ids = snapshot.store().party_ids().collect();
                             shards.sharded_pairwise(snapshot.n(), party_ids)
                         }
                         _ => {
@@ -1457,12 +1457,12 @@ impl FrameService for SnapshotService<'_> {
                             // lock-free again.
                             let (parties, values) = match snapshot.full_matrix() {
                                 Some(matrix) => (
-                                    snapshot.store().party_ids().to_vec(),
+                                    snapshot.store().party_ids().collect(),
                                     matrix.as_flat().to_vec(),
                                 ),
                                 None => server.shared.mutate(|engine| {
                                     (
-                                        engine.store().party_ids().to_vec(),
+                                        engine.store().party_ids().collect(),
                                         engine.pairwise_all().as_flat().to_vec(),
                                     )
                                 }),

@@ -88,7 +88,7 @@ fn run_protocol(params: &PublicParams) {
     );
 
     // Coordinator-side analytics on released data only.
-    let ids = engine.store().party_ids().to_vec();
+    let ids: Vec<u64> = engine.store().party_ids().collect();
     let dist = engine.pairwise_all();
     let mut intra = Vec::new();
     let mut inter = Vec::new();

@@ -18,9 +18,11 @@ use dp_euclid::core::release::Release;
 use dp_euclid::hashing::Seed;
 use dp_euclid::prelude::*;
 use dp_server::{Client, Endpoint, Server};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-const ROWS: usize = 10;
+/// Enough rows that the writer seals three store chunks and the party
+/// index merges levels while the readers run.
+const ROWS: usize = 3 * dp_euclid::engine::CHUNK_ROWS + 6;
 /// Rows ingested before the readers start (the ingest prefix the
 /// writer then extends row by row).
 const SEEDED: usize = 2;
@@ -73,7 +75,7 @@ fn prefix_references(spec: &SketcherSpec, rs: &[Release]) -> Vec<PrefixReference
     for m in 1..=rs.len() {
         engine.ingest(&rs[m - 1]).expect("ingest");
         out.push(PrefixReference {
-            parties: engine.store().party_ids().to_vec(),
+            parties: engine.store().party_ids().collect(),
             matrix: engine.pairwise_all().as_flat().to_vec(),
             knn: engine
                 .knn(rs[0].party_id, 3)
@@ -127,6 +129,7 @@ fn run_chaos(loops: usize) {
     // after each ingest ack, so any answer requested after reading `m`
     // here must reflect at least `m` rows.
     let published = AtomicUsize::new(0);
+    let writer_done = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         let serve = scope.spawn(|| server.serve(loops));
@@ -147,9 +150,15 @@ fn run_chaos(loops: usize) {
                 let published = &published;
                 let seeded_pair = &seeded_pair;
                 let expected_pair = &expected_pair;
+                let writer_done = &writer_done;
                 scope.spawn(move || {
                     let mut client = Client::connect(&endpoint).expect("connect reader");
-                    for i in 0..ITERATIONS {
+                    // At least ITERATIONS rounds, and on until the writer
+                    // is done, so reads race every chunk seal.
+                    for i in 0.. {
+                        if i >= ITERATIONS && writer_done.load(Ordering::Acquire) {
+                            break;
+                        }
                         let lower = published.load(Ordering::Acquire);
 
                         let knn = client.knn(rs[0].party_id, 3).expect("knn");
@@ -194,6 +203,7 @@ fn run_chaos(loops: usize) {
             published.store(i + 1, Ordering::Release);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
+        writer_done.store(true, Ordering::Release);
 
         for reader in readers {
             reader.join().expect("reader thread");

@@ -204,7 +204,7 @@ fn fetch_snapshot_and_tile_streams_outgrow_a_small_write_budget() {
         assert!(image.len() > 4 * BUDGET, "stream of {} bytes", image.len());
         assert_eq!(parts as usize, image.len().div_ceil(512));
         let (store, _) = SketchStore::decode_snapshot(&image).expect("decode image");
-        assert_eq!(store.party_ids(), reference.store().party_ids());
+        assert!(store.party_ids().eq(reference.store().party_ids()));
         let mut replica = QueryEngine::new(store);
         assert_bits(
             replica.pairwise_all().as_flat(),
@@ -267,7 +267,7 @@ fn default_budget_serves_a_full_matrix_over_8_mib() {
         answer
     });
     let (parties, values) = answer.expect("full matrix");
-    assert_eq!(parties, reference.store().party_ids());
+    assert_eq!(parties, reference.store().party_ids().collect::<Vec<_>>());
     assert_bits(&values, matrix.as_flat(), "full matrix");
 }
 
