@@ -3,8 +3,8 @@
 //!
 //! Three measurements per store size:
 //!
-//! * **pair query**: `QueryEngine::pair` (ingest-time validation, flat
-//!   arena, hoisted debias) versus the old per-call
+//! * **pair query**: `EngineSnapshot::pair` (ingest-time validation,
+//!   chunked arena, hoisted debias) versus the old per-call
 //!   `NoisySketch::estimate_sq_distance` over a `&[Release]` slice
 //!   (which re-checks compatibility and re-derives the debias constant
 //!   on every call).
@@ -146,11 +146,12 @@ fn main() {
         for r in slice {
             engine.ingest(r).expect("ingest");
         }
+        let snap = engine.snapshot();
 
         // Verify: every engine pair answer equals the slice path's.
         for i in 0..n.min(16) {
             for j in 0..n.min(16) {
-                let via_engine = engine.pair(i as u64, j as u64).expect("pair");
+                let via_engine = snap.pair(i as u64, j as u64).expect("pair");
                 let via_slice = if i == j {
                     0.0
                 } else {
@@ -172,7 +173,7 @@ fn main() {
         let t_engine = time_per_op(iters, || {
             let mut acc = 0.0;
             for &(a, b) in &queries {
-                acc += engine.pair(a, b).expect("pair");
+                acc += snap.pair(a, b).expect("pair");
             }
             std::hint::black_box(acc);
         }) / queries.len() as f64;

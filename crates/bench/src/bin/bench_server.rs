@@ -152,6 +152,7 @@ fn main() {
         reference.ingest(r).expect("ingest");
     }
     let expected_knn: Vec<(u64, f64)> = reference
+        .snapshot()
         .knn(releases[0].party_id, 4)
         .expect("knn")
         .into_iter()

@@ -6,21 +6,25 @@
 //! releases through the coordinator, and times the full all-pairs
 //! matrix three ways per shard count:
 //!
-//! * **local** — the in-process tiled kernel (`QueryEngine::pairwise`).
+//! * **local** — the cold in-process tiled kernel: a fresh
+//!   `QueryEngine` over an O(1) clone of the store computing the whole
+//!   matrix with `pairwise_all`, the same work a cold coordinator
+//!   gather spreads across its workers. Median, min and max over
+//!   `LOCAL_RUNS` runs.
 //! * **coordinator** — `Pairwise([])` against the coordinator: shard
-//!   the plan, `ExecuteTiles` per worker, gather by tile id, one
-//!   response frame back.
+//!   the plan, one `ExecuteTilesStream` per worker, gather by tile id,
+//!   one response frame back.
 //!
 //! Every coordinator answer is verified **bit-identical** to the local
 //! matrix before timing. On a single-core host the sharded path is
 //! expected to *lose* (same arithmetic plus framing and scatter); the
 //! point of the record is the trajectory — per-shard overhead now,
 //! multi-host speedup when real hardware is behind the sockets. Writes
-//! machine-readable `BENCH_shard.json`.
+//! machine-readable `BENCH_shard.json` with the CPU model and `nproc`.
 //!
 //! Usage: `bench_shard [--quick] [--out <path>]`
 
-use dp_bench::runner::time_per_op;
+use dp_bench::runner::{host, time_per_op};
 use dp_bench::workload::gaussian_vec;
 use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
@@ -32,6 +36,9 @@ use dp_hashing::Seed;
 use dp_server::{Client, CoordinatorConfig, Endpoint, Server, WorkerEntry};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// Cold local all-pairs passes behind the median/min/max record.
+const LOCAL_RUNS: usize = 7;
 
 struct Measurement {
     shards: usize,
@@ -260,17 +267,30 @@ fn main() {
         spec.kernel().name()
     );
 
-    // Local reference + baseline timing (fresh tiled kernel per call).
+    // Local reference + baseline timing: every run is a fresh engine
+    // over an O(1) clone of the store, so each pass runs the whole
+    // cold tiled kernel (one warm-up pass first).
     let mut local_engine = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
     for r in releases {
         local_engine.ingest(r).expect("ingest");
     }
-    let all_ids: Vec<u64> = local_engine.store().party_ids().collect();
     let local_matrix = local_engine.pairwise_all();
+    let cold_local = || {
+        let mut cold = QueryEngine::new(local_engine.store().clone());
+        let started = Instant::now();
+        std::hint::black_box(cold.pairwise_all());
+        started.elapsed().as_nanos() as f64 / pairs as f64
+    };
+    cold_local();
+    let mut local_runs: Vec<f64> = (0..LOCAL_RUNS).map(|_| cold_local()).collect();
+    local_runs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let ns_local = local_runs[LOCAL_RUNS / 2];
+    let (ns_local_min, ns_local_max) = (local_runs[0], local_runs[LOCAL_RUNS - 1]);
+    println!(
+        "local cold kernel: median {ns_local:.1} ns/pair (min {ns_local_min:.1}, max \
+         {ns_local_max:.1}) over {LOCAL_RUNS} runs"
+    );
     let iters = if quick { 3 } else { 8 };
-    let ns_local = time_per_op(iters, || {
-        std::hint::black_box(local_engine.pairwise(&all_ids).expect("pairwise"));
-    }) / pairs as f64;
 
     let mut measurements = Vec::new();
     let mut all_identical = true;
@@ -432,11 +452,14 @@ fn main() {
          protocol + gather overhead, not scale-out"
     );
 
+    let (cpu, nproc) = host();
     let json = JsonValue::Object(vec![
         (
             "bench".to_string(),
             JsonValue::String("sharded_pairwise".to_string()),
         ),
+        ("cpu_model".to_string(), JsonValue::String(cpu)),
+        ("nproc".to_string(), JsonValue::UInt(nproc as u64)),
         (
             "construction".to_string(),
             JsonValue::String("sjlt-auto".to_string()),
@@ -459,6 +482,24 @@ fn main() {
             JsonValue::UInt(wire::encoded_len_f32(sketcher.tag().len(), k) as u64),
         ),
         ("bit_identical".to_string(), JsonValue::Bool(all_identical)),
+        (
+            "local_cold".to_string(),
+            JsonValue::Object(vec![
+                ("runs".to_string(), JsonValue::UInt(LOCAL_RUNS as u64)),
+                (
+                    "ns_per_pair_median".to_string(),
+                    JsonValue::Number(ns_local),
+                ),
+                (
+                    "ns_per_pair_min".to_string(),
+                    JsonValue::Number(ns_local_min),
+                ),
+                (
+                    "ns_per_pair_max".to_string(),
+                    JsonValue::Number(ns_local_max),
+                ),
+            ]),
+        ),
         (
             "growth".to_string(),
             JsonValue::Object(vec![

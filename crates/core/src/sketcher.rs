@@ -212,7 +212,7 @@ pub enum Construction {
     /// Kenthapadi et al. baseline with the given σ calibration
     /// (requires δ).
     Kenthapadi(SigmaCalibration),
-    /// Private Achlioptas sparse ±1 projection (reference [1]; Laplace
+    /// Private Achlioptas sparse ±1 projection (reference \[1\]; Laplace
     /// noise without a δ budget, Gaussian with one). The second
     /// column-streaming construction after the SJLT.
     Achlioptas,
@@ -933,7 +933,7 @@ pub fn pairwise_sq_distances_reference(
 /// The cache-blocked tile kernel behind the all-pairs surface.
 ///
 /// The matrix's upper triangle is decomposed by a
-/// [`TileScheduler`] into `par.tile()`-sided `(row_block, col_block)`
+/// [`crate::TileScheduler`] into `par.tile()`-sided `(row_block, col_block)`
 /// tasks. All upper-triangle estimates land in **one flat buffer**
 /// (tiles map to contiguous segments via a pair-count prefix sum);
 /// workers take contiguous tile groups balanced by pair count — static
@@ -1146,7 +1146,7 @@ fn fill_tile_segment<'a, R, D>(
 }
 
 /// Scatter one tile's row-major segment (plus its mirror) into a flat
-/// `n × n` matrix — the inverse of [`fill_tile_segment`]'s walk, shared
+/// `n × n` matrix — the inverse of `fill_tile_segment`'s walk, shared
 /// by the local kernel and the `dp-engine` gather assembler.
 pub fn scatter_tile_segment(tile: &Tile, segment: &[f64], n: usize, values: &mut [f64]) {
     let mut idx = 0usize;
@@ -1169,7 +1169,7 @@ pub fn scatter_tile_segment(tile: &Tile, segment: &[f64], n: usize, values: &mut
 /// half of the plan → execute → gather pipeline: a worker server runs
 /// exactly this over its own store and ships the segments back keyed by
 /// tile id, and the result is bit-identical to the local kernel because
-/// both run [`fill_tile_segment`].
+/// both run `fill_tile_segment`.
 ///
 /// Tiles are executed as dynamic tasks on `par.threads()` workers;
 /// output order is id-list order regardless of scheduling.

@@ -1,51 +1,30 @@
-//! The incremental query surface over a [`SketchStore`].
+//! The mutation side of the engine over a [`SketchStore`].
 //!
-//! Every query is post-processing of already-private releases, so no
-//! query costs privacy budget. The engine adds what the slice-based
-//! free functions could not: **persistence** (the all-pairs matrix is
-//! cached and only the pairs involving newly ingested rows are
-//! computed on the next query) and **hoisting** (compatibility and
-//! debias constants were resolved at ingest, so a point query is a pure
-//! O(k) fused subtract-square-accumulate).
-//!
-//! ## Determinism
-//!
-//! All estimates run the versioned accumulator of [`dp_core::kernel`]
-//! under one [`KernelId`] per engine — a raw sum of squared
-//! differences minus a hoisted `2k·E[η²]` — so engine answers are
-//! bit-identical to the slice-based reference for every thread count,
-//! tile size, and ingest/query interleaving *within a kernel version*
-//! (the default `V1Scalar` reproduces
-//! [`dp_core::NoisySketch::estimate_sq_distance`] exactly). Point
-//! queries and the all-pairs matrix share the engine's kernel, so they
-//! agree bit-for-bit under `V2Simd` too. In the all-pairs matrix, pair
-//! `(i, j)` with `i < j` is debiased with row `i`'s constant (exactly
-//! like the tiled kernel); a k-NN query is debiased with the *query
-//! row's* constant (exactly like the old per-query `top_k`). The two
-//! agree bit-for-bit whenever the batch was released by one sketcher,
-//! which is the only kind the workspace produces.
+//! A [`QueryEngine`] ingests releases and keeps the all-pairs memo
+//! current; it answers no query itself. Every query is post-processing
+//! of already-private releases — it costs no privacy budget and
+//! mutates nothing — so queries live on the immutable
+//! [`EngineSnapshot`] that [`QueryEngine::snapshot`] (or a publishing
+//! [`crate::SharedEngine`]) hands out. The engine adds what the
+//! slice-based free functions could not: **persistence** (the
+//! all-pairs matrix is cached and only the pairs involving newly
+//! ingested rows are computed on the next [`QueryEngine::pairwise_all`])
+//! and **hoisting** (compatibility and debias constants were resolved
+//! at ingest, so a point query is a pure O(k) fused
+//! subtract-square-accumulate).
 
 use crate::error::EngineError;
 use crate::gather::Gather;
+use crate::snapshot::EngineSnapshot;
 use crate::store::SketchStore;
 use dp_core::release::Release;
-use dp_core::sketcher::{effective_plan, execute_tiles, pairwise_sq_distances_rows};
+use dp_core::sketcher::effective_plan;
 use dp_core::PrivateSketcher;
-use dp_core::{KernelId, PairwiseDistances, Parallelism, TilePlan, TileSegment};
+use dp_core::{PairwiseDistances, Parallelism};
 use std::sync::Arc;
 
-/// A scored neighbor returned by [`QueryEngine::knn`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Neighbor {
-    /// The party id of the neighbor.
-    pub party_id: u64,
-    /// Estimated squared distance (raw, may be negative at small
-    /// distances — ranking is still meaningful because the debias term
-    /// is shared).
-    pub estimated_sq_distance: f64,
-}
-
-/// An incremental query engine owning a [`SketchStore`].
+/// The incremental, mutable engine owning a [`SketchStore`]: ingest
+/// and all-pairs memo upkeep. Read through [`QueryEngine::snapshot`].
 #[derive(Debug)]
 pub struct QueryEngine {
     store: SketchStore,
@@ -70,7 +49,7 @@ impl Default for QueryEngine {
 impl QueryEngine {
     /// Wrap a store (queries run on the environment-default
     /// [`Parallelism`]). A spec-carrying store pins the engine's kernel
-    /// to the spec's [`KernelId`] — the spec is the negotiated identity
+    /// to the spec's [`dp_core::KernelId`] — the spec is the negotiated identity
     /// a fleet agrees on, so the executing kernel must follow it, not
     /// the local environment.
     #[must_use]
@@ -229,29 +208,6 @@ impl QueryEngine {
         Ok(row)
     }
 
-    /// The debiased squared-distance estimate between two ingested
-    /// parties: a pure O(k) pass, no validation, no allocation.
-    /// Bit-identical to the corresponding [`QueryEngine::pairwise_all`]
-    /// matrix entry.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownParty`] if either id was never ingested.
-    pub fn pair(&self, a: u64, b: u64) -> Result<f64, EngineError> {
-        let i = self.store.row_of(a).ok_or(EngineError::UnknownParty(a))?;
-        let j = self.store.row_of(b).ok_or(EngineError::UnknownParty(b))?;
-        Ok(self.pair_rows(i, j))
-    }
-
-    /// [`QueryEngine::pair`] by row index. The pair `(i, j)` is debiased
-    /// with the lower row's constant, matching the all-pairs matrix.
-    ///
-    /// # Panics
-    /// If a row is out of range.
-    #[must_use]
-    pub fn pair_rows(&self, i: usize, j: usize) -> f64 {
-        pair_rows_over(&self.store, i, j, self.par.kernel())
-    }
-
     /// All pairwise estimates among every ingested row, as a flat
     /// row-major matrix in ingest order — **incremental**: the matrix
     /// over previously queried rows is cached, and only pairs touching
@@ -269,110 +225,22 @@ impl QueryEngine {
     }
 
     /// The cached all-pairs matrix, **iff** it currently covers every
-    /// ingested row — the memo a published [`crate::EngineSnapshot`]
-    /// carries, and what the subset fast path slices. Never computes
-    /// anything; a stale cache yields `None`.
+    /// ingested row — the memo an [`EngineSnapshot`] carries, and what
+    /// its subset fast path slices. Never computes anything; a stale
+    /// cache yields `None`.
     #[must_use]
     pub fn cached_matrix(&self) -> Option<Arc<PairwiseDistances>> {
-        (self.cached_rows == self.store.n() && self.store.n() > 0).then(|| Arc::clone(&self.cache))
+        (self.cached_rows == self.store.n()).then(|| Arc::clone(&self.cache))
     }
 
-    /// All pairwise estimates among an explicit subset of parties, in
-    /// the given order. When the full-matrix memo is warm and slicing
-    /// it is provably bit-identical to recomputing (uniform debias
-    /// constant, distinct rows — see [`subset_pairwise`]), the answer
-    /// is sliced out of the cache in O(|subset|²); otherwise it is
-    /// computed fresh via the tiled kernel.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownParty`] on an id that was never ingested.
-    pub fn pairwise(&self, parties: &[u64]) -> Result<PairwiseDistances, EngineError> {
-        let rows = resolve_rows(&self.store, parties)?;
-        let memo = self.cached_matrix();
-        Ok(subset_pairwise(
-            &self.store,
-            &rows,
-            memo.as_deref(),
-            &self.par,
-        ))
-    }
-
-    /// The `k` nearest ingested parties to `party` (excluding every row
-    /// sharing the query's party id), ascending by estimate. Estimates
-    /// use the query row's debias constant, exactly like the per-query
-    /// surface this engine replaced.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownParty`] if the id was never ingested.
-    pub fn knn(&self, party: u64, k: usize) -> Result<Vec<Neighbor>, EngineError> {
-        let row = self
-            .store
-            .row_of(party)
-            .ok_or(EngineError::UnknownParty(party))?;
-        Ok(self.knn_row(row, k))
-    }
-
-    /// [`QueryEngine::knn`] by row index (candidates sharing the query
-    /// row's party id are excluded).
-    ///
-    /// # Panics
-    /// If `row` is out of range.
+    /// An unpublished, immutable view of the engine's current state —
+    /// the store (an O(1) clone sharing every chunk) and the memo when
+    /// warm — to run queries on. Every query lives on
+    /// [`EngineSnapshot`]; the engine itself only ingests and keeps the
+    /// memo current.
     #[must_use]
-    pub fn knn_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
-        knn_over(&self.store, row, k, self.par.kernel())
-    }
-
-    /// The `t` globally closest pairs `(party a, party b, estimate)`,
-    /// ascending by estimate (ties in ingest order). Runs on the
-    /// incremental all-pairs cache.
-    #[must_use]
-    pub fn top_pairs(&mut self, t: usize) -> Vec<(u64, u64, f64)> {
-        let matrix = self.pairwise_all();
-        top_pairs_over(&self.store, &matrix, t)
-    }
-
-    /// The [`TilePlan`] this engine's cold-start all-pairs pass executes
-    /// — also what a coordinator shards across remote workers, so the
-    /// local and distributed paths agree on every tile by construction.
-    #[must_use]
-    pub fn pairwise_plan(&self) -> TilePlan {
-        effective_plan(self.store.n(), &self.par)
-    }
-
-    /// Execute an explicit set of plan tiles over this engine's store,
-    /// returning one [`TileSegment`] per id — the worker half of the
-    /// plan → execute → gather pipeline, and exactly what a server
-    /// answers a protocol `ExecuteTiles` request with. Bit-identical to
-    /// the corresponding entries of [`QueryEngine::pairwise_all`].
-    ///
-    /// # Errors
-    /// [`EngineError::PlanMismatch`] if `plan_rows` differs from the
-    /// store's row count; [`EngineError::UnknownTile`] on an id outside
-    /// the plan.
-    pub fn execute_tiles(
-        &self,
-        plan_rows: usize,
-        tile: usize,
-        ids: &[u64],
-    ) -> Result<Vec<TileSegment>, EngineError> {
-        let plan = self.validate_tiles(plan_rows, tile, ids)?;
-        Ok(execute_tiles_over(&self.store, &plan, ids, &self.par))
-    }
-
-    /// The validation half of [`QueryEngine::execute_tiles`], without
-    /// executing anything: check the plan against the store and every
-    /// id against the plan, returning the plan on success. A streaming
-    /// server validates once up front, then executes tile by tile.
-    ///
-    /// # Errors
-    /// As [`QueryEngine::execute_tiles`].
-    pub fn validate_tiles(
-        &self,
-        plan_rows: usize,
-        tile: usize,
-        ids: &[u64],
-    ) -> Result<TilePlan, EngineError> {
-        validate_tiles_over(&self.store, plan_rows, tile, ids)
+    pub fn snapshot(&self) -> EngineSnapshot {
+        EngineSnapshot::of(self, 0)
     }
 
     /// Grow the cached all-pairs matrix from `cached_rows` to `n` rows
@@ -380,7 +248,7 @@ impl QueryEngine {
     /// (`cached_rows == 0`) executes every tile; warm growth seeds the
     /// gather from the previous matrix ([`Gather::seeded`]) and
     /// executes only the tiles touching the new rows
-    /// ([`TilePlan::tiles_touching_rows`]) — the same frontier logic a
+    /// ([`dp_core::TilePlan::tiles_touching_rows`]) — the same frontier logic a
     /// coordinator runs across sockets, so local and distributed growth
     /// are literally one code path. Every tile runs the kernel's exact
     /// per-pair expression, so the matrix is bit-identical to a
@@ -396,7 +264,7 @@ impl QueryEngine {
                 .map(|id| id as u64)
                 .collect()
         };
-        let segments = execute_tiles_over(&self.store, &plan, &ids, &self.par);
+        let segments = self.snapshot().execute_tiles(&plan, &ids);
         let mut gather = Gather::seeded(plan, old, self.cache.as_flat());
         for segment in &segments {
             gather
@@ -410,210 +278,5 @@ impl QueryEngine {
         );
         self.cached_rows = n;
         self.generation += 1;
-    }
-}
-
-/// Resolve party ids to store rows, in the caller's order.
-///
-/// # Errors
-/// [`EngineError::UnknownParty`] on an id that was never ingested.
-pub(crate) fn resolve_rows(
-    store: &SketchStore,
-    parties: &[u64],
-) -> Result<Vec<usize>, EngineError> {
-    parties
-        .iter()
-        .map(|&p| store.row_of(p).ok_or(EngineError::UnknownParty(p)))
-        .collect()
-}
-
-/// The per-pair estimate between two store rows: pair `(i, j)` is
-/// debiased with the **lower** row's constant, matching the all-pairs
-/// matrix. The single expression behind [`QueryEngine::pair`] and
-/// [`crate::EngineSnapshot::pair`] — one body, so the locked and the
-/// snapshot read paths cannot drift.
-pub(crate) fn pair_rows_over(store: &SketchStore, i: usize, j: usize, kernel: KernelId) -> f64 {
-    if i == j {
-        return 0.0;
-    }
-    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-    let raw = raw_sq_distance(kernel, store.row_values(lo), store.row_values(hi));
-    raw - store.debias_at(lo)
-}
-
-/// Subset pairwise with the memo fast path. Slicing the full matrix is
-/// used only when it is **provably bit-identical** to a cold tiled
-/// recompute over the subset:
-///
-/// * `memo` covers every store row (the caller checked), and
-/// * the store's debias constant is bitwise uniform across rows — the
-///   matrix debiases pair `(i, j)` with store-row `min(i, j)`'s
-///   constant while a recompute uses the subset-order-first row's, and
-///   those agree for every ordering only under one shared constant, and
-/// * the resolved rows are distinct — a duplicated row yields `0.0` on
-///   the matrix diagonal but `-debias` from a recompute (the raw
-///   distance of a row to itself is exactly `0.0` *before* debiasing).
-///
-/// The raw kernel expression itself is orientation-proof: a zip-order
-/// sum of `(x − y)²` is bitwise symmetric in its arguments, so matrix
-/// entry `(a, b)` equals the subset's `(b, a)` exactly.
-pub(crate) fn subset_pairwise(
-    store: &SketchStore,
-    rows: &[usize],
-    memo: Option<&PairwiseDistances>,
-    par: &Parallelism,
-) -> PairwiseDistances {
-    if let Some(matrix) = memo {
-        if store.debias_uniform() && rows_distinct(rows) {
-            let m = rows.len();
-            let mut flat = Vec::with_capacity(m * m);
-            for &a in rows {
-                for &b in rows {
-                    flat.push(matrix.at(a, b));
-                }
-            }
-            return PairwiseDistances::from_flat(m, flat);
-        }
-    }
-    pairwise_sq_distances_rows(
-        rows.len(),
-        |i| store.row_values(rows[i]),
-        |i| store.debias_at(rows[i]),
-        par,
-    )
-}
-
-/// Whether every row index appears at most once — checked on a sorted
-/// copy of the `m` requested rows, so the cost is O(m log m) whatever
-/// the store size.
-fn rows_distinct(rows: &[usize]) -> bool {
-    let mut sorted = rows.to_vec();
-    sorted.sort_unstable();
-    sorted.windows(2).all(|w| w[0] != w[1])
-}
-
-/// The k-NN scan behind [`QueryEngine::knn_row`] and
-/// [`crate::EngineSnapshot::knn`]: every candidate not sharing the
-/// query row's party id, scored with the **query row's** debias
-/// constant, ascending, truncated to `k`. Candidates are walked chunk
-/// by chunk in row order.
-pub(crate) fn knn_over(
-    store: &SketchStore,
-    row: usize,
-    k: usize,
-    kernel: KernelId,
-) -> Vec<Neighbor> {
-    let query_id = store.party_at(row);
-    let query = store.row_values(row);
-    let dim = query.len();
-    let debias = store.debias_at(row);
-    let mut scored: Vec<Neighbor> = Vec::with_capacity(store.n());
-    for (ids, values) in store.row_chunks() {
-        for (offset, &party_id) in ids.iter().enumerate() {
-            if party_id == query_id {
-                continue;
-            }
-            let candidate = &values[offset * dim..(offset + 1) * dim];
-            scored.push(Neighbor {
-                party_id,
-                estimated_sq_distance: raw_sq_distance(kernel, query, candidate) - debias,
-            });
-        }
-    }
-    scored.sort_by(|a, b| {
-        a.estimated_sq_distance
-            .partial_cmp(&b.estimated_sq_distance)
-            .expect("finite estimates")
-    });
-    scored.truncate(k);
-    scored
-}
-
-/// The `t` globally closest pairs over an already-materialized matrix,
-/// ascending by estimate (ties in ingest order).
-pub(crate) fn top_pairs_over(
-    store: &SketchStore,
-    matrix: &PairwiseDistances,
-    t: usize,
-) -> Vec<(u64, u64, f64)> {
-    let n = matrix.n();
-    let ids: Vec<u64> = store.party_ids().take(n).collect();
-    let mut pairs: Vec<(u64, u64, f64)> = Vec::with_capacity(n * (n.saturating_sub(1)) / 2);
-    for (i, &a) in ids.iter().enumerate() {
-        for (j, &b) in ids.iter().enumerate().skip(i + 1) {
-            pairs.push((a, b, matrix.at(i, j)));
-        }
-    }
-    pairs.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite estimates"));
-    pairs.truncate(t);
-    pairs
-}
-
-/// The plan-vs-store and id-vs-plan validation behind
-/// [`QueryEngine::validate_tiles`] and the snapshot's tile surface.
-///
-/// # Errors
-/// [`EngineError::PlanMismatch`] / [`EngineError::UnknownTile`].
-pub(crate) fn validate_tiles_over(
-    store: &SketchStore,
-    plan_rows: usize,
-    tile: usize,
-    ids: &[u64],
-) -> Result<TilePlan, EngineError> {
-    let n = store.n();
-    if plan_rows != n {
-        return Err(EngineError::PlanMismatch {
-            store_rows: n,
-            plan_rows,
-        });
-    }
-    let plan = TilePlan::new(n, tile);
-    let tile_count = plan.tile_count() as u64;
-    if let Some(&id) = ids.iter().find(|&&id| id >= tile_count) {
-        return Err(EngineError::UnknownTile { id, tile_count });
-    }
-    Ok(plan)
-}
-
-/// Execute plan tiles against a store — the one call site of the tiled
-/// kernel shared by the engine's cache growth, its `ExecuteTiles`
-/// surface, and the snapshot's.
-pub(crate) fn execute_tiles_over(
-    store: &SketchStore,
-    plan: &TilePlan,
-    ids: &[u64],
-    par: &Parallelism,
-) -> Vec<TileSegment> {
-    execute_tiles(
-        plan,
-        ids,
-        |i| store.row_values(i),
-        |i| store.debias_at(i),
-        par,
-    )
-}
-
-/// The kernel's inner expression: the versioned accumulator from
-/// [`dp_core::kernel`]. `V1Scalar` is the historic zip-order sum of
-/// squared differences, bit for bit.
-#[inline]
-fn raw_sq_distance(kernel: KernelId, a: &[f64], b: &[f64]) -> f64 {
-    dp_core::kernel::sq_distance(kernel, a, b)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::rows_distinct;
-
-    #[test]
-    fn rows_distinct_finds_duplicates_anywhere_in_the_subset() {
-        assert!(rows_distinct(&[]));
-        assert!(rows_distinct(&[7]));
-        assert!(rows_distinct(&[9, 0, 5, 3]));
-        assert!(!rows_distinct(&[4, 1, 8, 1]));
-        assert!(!rows_distinct(&[2, 2]));
-        // The check never sizes anything by the row indices themselves.
-        assert!(rows_distinct(&[usize::MAX, 0]));
-        assert!(!rows_distinct(&[usize::MAX, 3, usize::MAX]));
     }
 }

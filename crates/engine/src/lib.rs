@@ -11,29 +11,30 @@
 //!   [`dp_core::release::Release`] frames or raw `DPRL` bytes, and
 //!   rejects incompatible sketches and duplicate party ids with typed
 //!   [`EngineError`]s. All validation happens once, at ingest.
-//! * [`QueryEngine`] — `pair`, `pairwise`, `knn`, `top_pairs` over the
-//!   store, reusing the tiled `dp_parallel` kernel with its hoisted
-//!   debias constants, plus an **incremental** all-pairs cache: after
-//!   new rows arrive, the next query computes only the new pairs. The
-//!   cold all-pairs pass runs the plan → execute → gather pipeline
-//!   ([`QueryEngine::execute_tiles`] is the worker half a server
-//!   exposes over protocol v3).
+//! * [`QueryEngine`] — the mutation side: ingest, plus an
+//!   **incremental** all-pairs memo ([`QueryEngine::pairwise_all`]):
+//!   after new rows arrive, the next fill computes only the new pairs
+//!   through the plan → execute → gather pipeline.
+//! * [`EngineSnapshot`] — the one read surface: `pair`, `pairwise`,
+//!   `knn`, `top_pairs`, and tile validation/execution
+//!   ([`EngineSnapshot::execute_tiles`] is the worker half a server
+//!   streams back as `TileResultPart` frames). Queries are
+//!   post-processing of already-private releases and mutate nothing,
+//!   so they run on an immutable view: [`QueryEngine::snapshot`] for
+//!   in-process use, or a published one from [`SharedEngine`].
 //! * [`Gather`] — assembles out-of-order executed [`dp_core::TileSegment`]s
 //!   into the full matrix with typed [`GatherError`]s for
 //!   missing/duplicate/misshapen tiles — what a sharding coordinator
 //!   runs over worker answers.
-//! * [`SharedEngine`] / [`EngineSnapshot`] — snapshot isolation for
-//!   read-heavy serving: mutations serialize through one lock and
-//!   publish immutable epoch-stamped snapshots; readers run `pair` /
-//!   `pairwise` / `knn` / `top_pairs` against a snapshot with **zero
+//! * [`SharedEngine`] — snapshot isolation for read-heavy serving:
+//!   mutations serialize through one lock and publish immutable
+//!   epoch-stamped snapshots; readers query a snapshot with **zero
 //!   locks** on the hot path (one atomic epoch load), concurrently
-//!   with each other and with ingest, bit-identical to the locked
-//!   surface by construction.
+//!   with each other and with ingest.
 //!
-//! One engine backs the library surface (`dp_stream`'s old free
-//! functions are thin wrappers), the `dp-server` protocol-v3 service,
-//! and the bench harness — per the repo's determinism contract, all
-//! of them bit-identical to the naive per-pair reference.
+//! One engine backs the library surface, the `dp-server` service, and
+//! the bench harness — per the repo's determinism contract, all of
+//! them bit-identical to the naive per-pair reference.
 
 mod arena;
 pub mod engine;
@@ -43,10 +44,10 @@ pub mod snapshot;
 pub mod store;
 
 pub use arena::CHUNK_ROWS;
-pub use engine::{Neighbor, QueryEngine};
+pub use engine::QueryEngine;
 pub use error::EngineError;
 pub use gather::{Gather, GatherError};
-pub use snapshot::{EngineSnapshot, SharedEngine};
+pub use snapshot::{EngineSnapshot, Neighbor, SharedEngine};
 pub use store::SketchStore;
 
 #[cfg(test)]
@@ -226,9 +227,10 @@ mod tests {
             engine.ingest(r).unwrap();
         }
         let matrix = engine.pairwise_all();
+        let snap = engine.snapshot();
         for i in 0..rs.len() {
             for j in 0..rs.len() {
-                let via_pair = engine.pair(rs[i].party_id, rs[j].party_id).unwrap();
+                let via_pair = snap.pair(rs[i].party_id, rs[j].party_id).unwrap();
                 assert_eq!(via_pair.to_bits(), matrix.at(i, j).to_bits(), "({i},{j})");
             }
         }
@@ -239,14 +241,11 @@ mod tests {
             .estimate_sq_distance_with(&rs[3].sketch, engine.parallelism().kernel())
             .unwrap();
         assert_eq!(
-            engine
-                .pair(rs[0].party_id, rs[3].party_id)
-                .unwrap()
-                .to_bits(),
+            snap.pair(rs[0].party_id, rs[3].party_id).unwrap().to_bits(),
             direct.to_bits()
         );
         assert!(matches!(
-            engine.pair(rs[0].party_id, 424_242),
+            snap.pair(rs[0].party_id, 424_242),
             Err(EngineError::UnknownParty(424_242))
         ));
     }
@@ -259,7 +258,8 @@ mod tests {
             engine.ingest(r).unwrap();
         }
         let ids: Vec<u64> = [6usize, 2, 4].iter().map(|&i| rs[i].party_id).collect();
-        let sub = engine.pairwise(&ids).unwrap();
+        let snap = engine.snapshot();
+        let sub = snap.pairwise(&ids).unwrap();
         assert_eq!(sub.n(), 3);
         let picked: Vec<NoisySketch> = [6usize, 2, 4]
             .iter()
@@ -280,8 +280,8 @@ mod tests {
                 assert_eq!(expected.to_bits(), sub.at(i, j).to_bits(), "({i},{j})");
             }
         }
-        assert!(engine.pairwise(&[rs[0].party_id, 777]).is_err());
-        assert_eq!(engine.pairwise(&[]).unwrap().n(), 0);
+        assert!(snap.pairwise(&[rs[0].party_id, 777]).is_err());
+        assert_eq!(snap.pairwise(&[]).unwrap().n(), 0);
     }
 
     #[test]
@@ -297,19 +297,20 @@ mod tests {
         let ids: Vec<u64> = picks.iter().map(|&i| rs[i].party_id).collect();
         // Cold: no memo yet, so this runs the tiled kernel.
         assert!(engine.cached_matrix().is_none());
-        let cold = engine.pairwise(&ids).unwrap();
+        let cold = engine.snapshot().pairwise(&ids).unwrap();
         // Warm the memo; the same subset must now slice it — and the
         // slice must be bitwise the cold answer, in the same order.
         let _ = engine.pairwise_all();
         assert!(engine.cached_matrix().is_some());
-        let warm = engine.pairwise(&ids).unwrap();
+        let snap = engine.snapshot();
+        let warm = snap.pairwise(&ids).unwrap();
         assert_eq!(cold.as_flat(), warm.as_flat());
         for (a, b) in cold.as_flat().iter().zip(warm.as_flat()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Orientation: a reversed subset is the transpose, also bitwise.
         let rev: Vec<u64> = ids.iter().rev().copied().collect();
-        let warm_rev = engine.pairwise(&rev).unwrap();
+        let warm_rev = snap.pairwise(&rev).unwrap();
         for i in 0..ids.len() {
             for j in 0..ids.len() {
                 let m = ids.len() - 1;
@@ -331,7 +332,7 @@ mod tests {
         // NOT the matrix diagonal's exact 0.0 — so slicing the memo
         // here would be wrong. The gate must fall back to recompute.
         let a = rs[1].party_id;
-        let dup = engine.pairwise(&[a, a]).unwrap();
+        let dup = engine.snapshot().pairwise(&[a, a]).unwrap();
         let expected = 0.0 - engine.store().debias_at(1);
         assert_eq!(dup.at(0, 1).to_bits(), expected.to_bits());
         assert_eq!(dup.at(1, 0).to_bits(), expected.to_bits());
@@ -355,7 +356,7 @@ mod tests {
         engine.ingest(&mk(1, m2 + 1e-13)).unwrap();
         assert!(!engine.store().debias_uniform());
         let _ = engine.pairwise_all();
-        let sub = engine.pairwise(&[1, 0]).unwrap();
+        let sub = engine.snapshot().pairwise(&[1, 0]).unwrap();
         let picked = vec![mk(1, m2 + 1e-13).sketch, mk(0, m2).sketch];
         let reference = pairwise_sq_distances_reference(&picked).unwrap();
         for (a, b) in reference.as_flat().iter().zip(sub.as_flat()) {
@@ -374,7 +375,8 @@ mod tests {
         for r in &rs {
             engine.ingest(r).unwrap();
         }
-        let got = engine.knn(rs[2].party_id, 3).unwrap();
+        let snap = engine.snapshot();
+        let got = snap.knn(rs[2].party_id, 3).unwrap();
         assert_eq!(got.len(), 3);
         // Estimates are the per-query estimator's (under the engine's
         // kernel), bit for bit.
@@ -389,7 +391,7 @@ mod tests {
         // Ascending, excludes self, k capped by candidate count.
         assert!(got[0].estimated_sq_distance <= got[1].estimated_sq_distance);
         assert!(got.iter().all(|n| n.party_id != rs[2].party_id));
-        assert_eq!(engine.knn(rs[0].party_id, 100).unwrap().len(), 7);
+        assert_eq!(snap.knn(rs[0].party_id, 100).unwrap().len(), 7);
     }
 
     #[test]
@@ -399,20 +401,23 @@ mod tests {
         for r in &rs {
             engine.ingest(r).unwrap();
         }
-        let top = engine.top_pairs(4);
+        // A cold engine's snapshot has no memo to rank from.
+        assert!(engine.snapshot().top_pairs(4).is_none());
+        let matrix = engine.pairwise_all();
+        let snap = engine.snapshot();
+        let top = snap.top_pairs(4).expect("warm memo");
         assert_eq!(top.len(), 4);
         for w in top.windows(2) {
             assert!(w[0].2 <= w[1].2);
         }
         // Every reported estimate equals the matrix entry.
-        let matrix = engine.pairwise_all();
         for &(a, b, d) in &top {
             let i = rs.iter().position(|r| r.party_id == a).unwrap();
             let j = rs.iter().position(|r| r.party_id == b).unwrap();
             assert_eq!(d.to_bits(), matrix.at(i, j).to_bits());
         }
         // Asking for more pairs than exist returns them all.
-        assert_eq!(engine.top_pairs(1000).len(), 15);
+        assert_eq!(snap.top_pairs(1000).expect("warm memo").len(), 15);
     }
 
     #[test]
@@ -424,16 +429,17 @@ mod tests {
             engine.ingest(r).unwrap();
         }
         let matrix = engine.pairwise_all();
-        let plan = engine.pairwise_plan();
+        let snap = engine.snapshot();
+        let plan = snap.pairwise_plan();
         assert_eq!(plan.n(), 10);
         // Execute every tile explicitly (shuffled order) and gather.
         let mut ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
         ids.reverse();
-        let segments = engine
-            .execute_tiles(plan.n(), plan.tile(), &ids)
+        let plan = snap
+            .validate_tiles(plan.n(), plan.tile(), &ids)
             .expect("valid plan");
         let mut gather = Gather::new(plan);
-        for s in &segments {
+        for s in &snap.execute_tiles(&plan, &ids) {
             gather.accept(s).unwrap();
         }
         let gathered = gather.finish().unwrap();
@@ -442,14 +448,14 @@ mod tests {
         }
         // Typed plan errors.
         assert!(matches!(
-            engine.execute_tiles(9, plan.tile(), &[0]),
+            snap.validate_tiles(9, plan.tile(), &[0]),
             Err(EngineError::PlanMismatch {
                 store_rows: 10,
                 plan_rows: 9,
             })
         ));
         assert!(matches!(
-            engine.execute_tiles(10, plan.tile(), &[u64::MAX]),
+            snap.validate_tiles(10, plan.tile(), &[u64::MAX]),
             Err(EngineError::UnknownTile { .. })
         ));
     }
@@ -516,10 +522,57 @@ mod tests {
     fn empty_store_answers_empty() {
         let mut engine = QueryEngine::new(SketchStore::adopting());
         assert_eq!(engine.pairwise_all().n(), 0);
-        assert!(engine.top_pairs(3).is_empty());
+        assert_eq!(engine.snapshot().top_pairs(3), Some(Vec::new()));
         assert!(matches!(
-            engine.knn(1, 3),
+            engine.snapshot().knn(1, 3),
             Err(EngineError::UnknownParty(1))
+        ));
+    }
+
+    #[test]
+    fn overflowing_debias_constant_is_refused_and_reads_keep_working() {
+        // E[η²] = 1e308 is finite, so it passes the wire codec, but the
+        // debias constant 2k·E[η²] overflows to inf at k = 4.
+        let mk = |id: u64, values: &[f64], m2: f64| Release {
+            party_id: id,
+            sketch: NoisySketch::new(values.to_vec(), "t", m2, 0.75),
+        };
+        let far = [1e200, -1e200, 0.0, 1e200];
+        let near = [-1e200, 1e200, 0.0, 0.0];
+        let mut engine = QueryEngine::new(SketchStore::adopting());
+        let bad = mk(1, &far, 1e308);
+        for refused in [
+            engine.ingest(&bad),
+            engine.ingest_row(&bad),
+            engine.ingest_bytes(&bad.to_bytes().unwrap()),
+        ] {
+            assert!(
+                matches!(refused, Err(EngineError::Incompatible { party_id: 1, .. })),
+                "{refused:?}"
+            );
+        }
+        assert!(engine.store().is_empty());
+        assert_eq!(engine.store().interner_len(), 0, "refused before interning");
+        assert_eq!(engine.generation(), 0);
+        // Nothing was anchored: ordinary releases with the same extreme
+        // coordinates are accepted, and every read answers — overflowed
+        // distances rank as inf, never as NaN, and nothing panics.
+        for (id, values) in [(1, &far), (2, &near), (3, &[0.0; 4])] {
+            engine.ingest(&mk(id, values, 0.5)).unwrap();
+        }
+        let _ = engine.pairwise_all();
+        let snap = engine.snapshot();
+        let knn = snap.knn(1, 3).unwrap();
+        assert_eq!(knn.len(), 2);
+        assert!(knn.iter().all(|n| !n.estimated_sq_distance.is_nan()));
+        let top = snap.top_pairs(3).expect("warm memo");
+        assert_eq!(top.len(), 3);
+        assert!(top.iter().all(|&(_, _, d)| !d.is_nan()));
+        assert!(!snap.pair(1, 2).unwrap().is_nan());
+        // A later oversized release is refused like the first one.
+        assert!(matches!(
+            engine.ingest(&mk(4, &near, 1e308)),
+            Err(EngineError::Incompatible { party_id: 4, .. })
         ));
     }
 

@@ -1,13 +1,16 @@
-//! Snapshot-isolated, lock-free reads over a shared [`QueryEngine`].
+//! The read surface: immutable [`EngineSnapshot`]s, and lock-free
+//! publication of them over a shared [`QueryEngine`].
 //!
-//! The server's original concurrency story was one `Mutex<QueryEngine>`
-//! around *everything*: a slow full-matrix query stalled every point
-//! query behind it. But the workload is overwhelmingly read-dominated —
-//! every query is post-processing of already-released sketches, costs
-//! no privacy budget, and mutates nothing — so reads should scale with
-//! cores while only ingest serializes.
+//! Every query is post-processing of already-released sketches: it
+//! costs no privacy budget and mutates nothing, so every query lives
+//! here, on the immutable snapshot, and nowhere else. A
+//! [`QueryEngine`] only ingests and keeps its all-pairs memo current;
+//! [`QueryEngine::snapshot`] hands out an unpublished view to read
+//! through.
 //!
-//! [`SharedEngine`] splits the two worlds:
+//! The workload is overwhelmingly read-dominated, so reads should
+//! scale with cores while only ingest serializes. [`SharedEngine`]
+//! splits the two worlds:
 //!
 //! * **Mutations** ([`SharedEngine::mutate`]) lock the engine, run, and
 //!   — iff the engine's [`QueryEngine::generation`] moved — **publish**
@@ -33,24 +36,40 @@
 //!
 //! ## Determinism
 //!
-//! Every snapshot query delegates to the same free functions as the
-//! locked [`QueryEngine`] surface (`knn_over`, `subset_pairwise`, …),
-//! so the two paths are bit-identical by construction, for any
-//! interleaving of reads and publishes.
+//! All estimates run the versioned accumulator of [`dp_core::kernel`]
+//! under the engine's one [`dp_core::KernelId`] — a raw sum of squared
+//! differences minus a hoisted `2k·E[η²]` — so answers are
+//! bit-identical to the slice-based reference for every thread count,
+//! tile size, and ingest/query interleaving *within a kernel version*
+//! (the default `V1Scalar` reproduces
+//! [`dp_core::NoisySketch::estimate_sq_distance`] exactly). In the
+//! all-pairs matrix, pair `(i, j)` with `i < j` is debiased with row
+//! `i`'s constant (exactly like the tiled kernel), and so is a point
+//! query; a k-NN query is debiased with the *query row's* constant.
+//! The two agree bit-for-bit whenever the batch was released by one
+//! sketcher, which is the only kind the workspace produces.
 
-use crate::engine::{
-    execute_tiles_over, knn_over, pair_rows_over, resolve_rows, subset_pairwise, top_pairs_over,
-    validate_tiles_over, Neighbor, QueryEngine,
-};
+use crate::engine::QueryEngine;
 use crate::error::EngineError;
 use crate::store::SketchStore;
-use dp_core::sketcher::effective_plan;
+use dp_core::sketcher::{effective_plan, execute_tiles, pairwise_sq_distances_rows};
 use dp_core::{PairwiseDistances, Parallelism, TilePlan, TileSegment};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// A scored neighbor returned by [`EngineSnapshot::knn`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Neighbor {
+    /// The party id of the neighbor.
+    pub party_id: u64,
+    /// Estimated squared distance (raw, may be negative at small
+    /// distances — ranking is still meaningful because the debias term
+    /// is shared).
+    pub estimated_sq_distance: f64,
+}
+
 /// An immutable point-in-time view of a [`QueryEngine`]: the store's
-/// rows, the memoized all-pairs matrix when it was warm at publish
+/// rows, the memoized all-pairs matrix when it was warm at snapshot
 /// time, and the hoisted debias constants. Every query on a snapshot
 /// is pure — no lock, no interior mutability — so any number of
 /// readers run concurrently with each other and with ingest.
@@ -58,7 +77,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub struct EngineSnapshot {
     store: SketchStore,
     /// The full-matrix memo, present iff the engine's incremental
-    /// cache covered every row when this snapshot was published.
+    /// cache covered every row when this snapshot was taken.
     matrix: Option<Arc<PairwiseDistances>>,
     epoch: u64,
     generation: u64,
@@ -66,7 +85,7 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    fn of(engine: &QueryEngine, epoch: u64) -> Self {
+    pub(crate) fn of(engine: &QueryEngine, epoch: u64) -> Self {
         Self {
             store: engine.store().clone(),
             matrix: engine.cached_matrix(),
@@ -77,7 +96,8 @@ impl EngineSnapshot {
     }
 
     /// The publish epoch: strictly increasing across published
-    /// snapshots of one [`SharedEngine`].
+    /// snapshots of one [`SharedEngine`]; 0 for an unpublished
+    /// [`QueryEngine::snapshot`].
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -101,108 +121,212 @@ impl EngineSnapshot {
         self.store.n()
     }
 
-    /// The full all-pairs matrix, when the memo was warm at publish
-    /// time. `None` means the cache was stale — the caller must fall
-    /// back to the mutation path to fill it (which publishes a new
-    /// snapshot carrying the matrix).
+    /// The full all-pairs matrix, when the memo was warm at snapshot
+    /// time. `None` means the cache was stale — fill it through
+    /// [`QueryEngine::pairwise_all`] (or [`SharedEngine::fill_memo`],
+    /// which publishes a snapshot carrying the matrix).
     #[must_use]
     pub fn full_matrix(&self) -> Option<Arc<PairwiseDistances>> {
         self.matrix.as_ref().map(Arc::clone)
     }
 
-    /// The debiased squared-distance estimate between two parties —
-    /// bit-identical to [`QueryEngine::pair`].
+    /// The debiased squared-distance estimate between two parties: a
+    /// pure O(k) pass, no validation, no allocation. Pair `(i, j)` is
+    /// debiased with the lower row's constant, so the answer is
+    /// bit-identical to the all-pairs matrix entry.
     ///
     /// # Errors
     /// [`EngineError::UnknownParty`] if either id was never ingested.
     pub fn pair(&self, a: u64, b: u64) -> Result<f64, EngineError> {
-        let i = self.store.row_of(a).ok_or(EngineError::UnknownParty(a))?;
-        let j = self.store.row_of(b).ok_or(EngineError::UnknownParty(b))?;
-        Ok(pair_rows_over(&self.store, i, j, self.par.kernel()))
+        let i = self.row_of(a)?;
+        let j = self.row_of(b)?;
+        if i == j {
+            return Ok(0.0);
+        }
+        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+        let raw = dp_core::kernel::sq_distance(
+            self.par.kernel(),
+            self.store.row_values(lo),
+            self.store.row_values(hi),
+        );
+        Ok(raw - self.store.debias_at(lo))
     }
 
-    /// Subset pairwise in the caller's order — slices the memo when
-    /// provably bit-identical, else recomputes via the tiled kernel
-    /// (same gates and same kernel as [`QueryEngine::pairwise`]).
+    /// All pairwise estimates among an explicit subset of parties, in
+    /// the given order. The memo is sliced in O(|subset|²) only when
+    /// that is **provably bit-identical** to a cold tiled recompute
+    /// over the subset:
+    ///
+    /// * the memo covers every store row, and
+    /// * the store's debias constant is bitwise uniform across rows —
+    ///   the matrix debiases pair `(i, j)` with store-row `min(i, j)`'s
+    ///   constant while a recompute uses the subset-order-first row's,
+    ///   and those agree for every ordering only under one shared
+    ///   constant, and
+    /// * the resolved rows are distinct — a duplicated row yields `0.0`
+    ///   on the matrix diagonal but `-debias` from a recompute (the raw
+    ///   distance of a row to itself is exactly `0.0` *before*
+    ///   debiasing).
+    ///
+    /// The raw kernel expression itself is orientation-proof: a
+    /// zip-order sum of `(x − y)²` is bitwise symmetric in its
+    /// arguments, so matrix entry `(a, b)` equals the subset's `(b, a)`
+    /// exactly. Otherwise the subset runs the tiled kernel.
     ///
     /// # Errors
-    /// [`EngineError::UnknownParty`] on an unknown id.
+    /// [`EngineError::UnknownParty`] on an id that was never ingested.
     pub fn pairwise(&self, parties: &[u64]) -> Result<PairwiseDistances, EngineError> {
-        let rows = resolve_rows(&self.store, parties)?;
-        Ok(subset_pairwise(
-            &self.store,
-            &rows,
-            self.matrix.as_deref(),
+        let rows = parties
+            .iter()
+            .map(|&p| self.row_of(p))
+            .collect::<Result<Vec<usize>, _>>()?;
+        if let Some(matrix) = self.matrix.as_deref() {
+            if self.store.debias_uniform() && rows_distinct(&rows) {
+                let mut flat = Vec::with_capacity(rows.len() * rows.len());
+                for &a in &rows {
+                    for &b in &rows {
+                        flat.push(matrix.at(a, b));
+                    }
+                }
+                return Ok(PairwiseDistances::from_flat(rows.len(), flat));
+            }
+        }
+        Ok(pairwise_sq_distances_rows(
+            rows.len(),
+            |i| self.store.row_values(rows[i]),
+            |i| self.store.debias_at(rows[i]),
             &self.par,
         ))
     }
 
-    /// The `k` nearest parties — bit-identical to [`QueryEngine::knn`].
+    /// The `k` nearest parties to `party`, ascending by estimate: every
+    /// row not sharing the query's party id, scored with the **query
+    /// row's** debias constant and walked chunk by chunk in row order.
     ///
     /// # Errors
     /// [`EngineError::UnknownParty`] if the id was never ingested.
     pub fn knn(&self, party: u64, k: usize) -> Result<Vec<Neighbor>, EngineError> {
-        let row = self
-            .store
-            .row_of(party)
-            .ok_or(EngineError::UnknownParty(party))?;
-        Ok(knn_over(&self.store, row, k, self.par.kernel()))
+        let row = self.row_of(party)?;
+        let kernel = self.par.kernel();
+        let query = self.store.row_values(row);
+        let dim = query.len();
+        let debias = self.store.debias_at(row);
+        let mut scored: Vec<Neighbor> = Vec::with_capacity(self.store.n());
+        for (ids, values) in self.store.row_chunks() {
+            for (offset, &party_id) in ids.iter().enumerate() {
+                if party_id == party {
+                    continue;
+                }
+                let candidate = &values[offset * dim..(offset + 1) * dim];
+                scored.push(Neighbor {
+                    party_id,
+                    estimated_sq_distance: dp_core::kernel::sq_distance(kernel, query, candidate)
+                        - debias,
+                });
+            }
+        }
+        scored.sort_by(|a, b| {
+            a.estimated_sq_distance
+                .partial_cmp(&b.estimated_sq_distance)
+                .expect("finite estimates")
+        });
+        scored.truncate(k);
+        Ok(scored)
     }
 
-    /// The `t` globally closest pairs, when the matrix memo is present
-    /// (`None` signals the stale-cache fallback, exactly like
-    /// [`EngineSnapshot::full_matrix`]).
+    /// The `t` globally closest pairs `(party a, party b, estimate)`,
+    /// ascending by estimate (ties in ingest order), when the matrix
+    /// memo is present (`None` signals the stale-cache fallback, exactly
+    /// like [`EngineSnapshot::full_matrix`]).
     #[must_use]
     pub fn top_pairs(&self, t: usize) -> Option<Vec<(u64, u64, f64)>> {
-        self.matrix
-            .as_deref()
-            .map(|matrix| top_pairs_over(&self.store, matrix, t))
+        let matrix = self.matrix.as_deref()?;
+        let ids: Vec<u64> = self.store.party_ids().take(matrix.n()).collect();
+        let mut pairs = Vec::with_capacity(ids.len() * ids.len().saturating_sub(1) / 2);
+        for (i, &a) in ids.iter().enumerate() {
+            for (j, &b) in ids.iter().enumerate().skip(i + 1) {
+                pairs.push((a, b, matrix.at(i, j)));
+            }
+        }
+        pairs.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite estimates"));
+        pairs.truncate(t);
+        Some(pairs)
     }
 
     /// The [`TilePlan`] a cold all-pairs pass over this snapshot
-    /// executes — same geometry as [`QueryEngine::pairwise_plan`].
+    /// executes — also what a coordinator shards across remote workers,
+    /// so the local and distributed paths agree on every tile by
+    /// construction.
     #[must_use]
     pub fn pairwise_plan(&self) -> TilePlan {
         effective_plan(self.store.n(), &self.par)
     }
 
-    /// Validate a remote tile plan against this snapshot's rows —
-    /// see [`QueryEngine::validate_tiles`].
+    /// Check a remote tile plan against this snapshot's rows and every
+    /// id against the plan, returning the plan for
+    /// [`EngineSnapshot::execute_tiles`]. A streaming server validates
+    /// once up front, then executes tile by tile.
     ///
     /// # Errors
-    /// [`EngineError::PlanMismatch`] / [`EngineError::UnknownTile`].
+    /// [`EngineError::PlanMismatch`] if `plan_rows` differs from the
+    /// store's row count; [`EngineError::UnknownTile`] on an id outside
+    /// the plan.
     pub fn validate_tiles(
         &self,
         plan_rows: usize,
         tile: usize,
         ids: &[u64],
     ) -> Result<TilePlan, EngineError> {
-        validate_tiles_over(&self.store, plan_rows, tile, ids)
+        let n = self.store.n();
+        if plan_rows != n {
+            return Err(EngineError::PlanMismatch {
+                store_rows: n,
+                plan_rows,
+            });
+        }
+        let plan = TilePlan::new(n, tile);
+        let tile_count = plan.tile_count() as u64;
+        if let Some(&id) = ids.iter().find(|&&id| id >= tile_count) {
+            return Err(EngineError::UnknownTile { id, tile_count });
+        }
+        Ok(plan)
     }
 
-    /// Execute plan tiles against this snapshot — bit-identical to
-    /// [`QueryEngine::execute_tiles`], and safe to run tile-by-tile
-    /// over a long stream: the snapshot cannot change underneath the
-    /// stream, so a streamed answer is internally consistent by
-    /// construction.
+    /// Execute tiles of an **already validated** plan, one
+    /// [`TileSegment`] per id in id order — the worker half of the
+    /// plan → execute → gather pipeline, and the one call site of the
+    /// tiled kernel behind both a streamed `ExecuteTilesStream` reply
+    /// and the engine's own cache growth. The snapshot cannot change
+    /// underneath a long stream, so a streamed answer is internally
+    /// consistent by construction.
     ///
-    /// # Errors
-    /// As [`EngineSnapshot::validate_tiles`].
-    pub fn execute_tiles(
-        &self,
-        plan_rows: usize,
-        tile: usize,
-        ids: &[u64],
-    ) -> Result<Vec<TileSegment>, EngineError> {
-        let plan = self.validate_tiles(plan_rows, tile, ids)?;
-        Ok(execute_tiles_over(&self.store, &plan, ids, &self.par))
+    /// # Panics
+    /// If an id is outside `plan` (see [`EngineSnapshot::validate_tiles`]).
+    #[must_use]
+    pub fn execute_tiles(&self, plan: &TilePlan, ids: &[u64]) -> Vec<TileSegment> {
+        execute_tiles(
+            plan,
+            ids,
+            |i| self.store.row_values(i),
+            |i| self.store.debias_at(i),
+            &self.par,
+        )
     }
 
-    /// Execute one tile of an **already validated** plan.
-    #[must_use]
-    pub fn execute_tile(&self, plan: &TilePlan, id: u64) -> Vec<TileSegment> {
-        execute_tiles_over(&self.store, plan, &[id], &self.par)
+    fn row_of(&self, party: u64) -> Result<usize, EngineError> {
+        self.store
+            .row_of(party)
+            .ok_or(EngineError::UnknownParty(party))
     }
+}
+
+/// Whether every row index appears at most once — checked on a sorted
+/// copy of the `m` requested rows, so the cost is O(m log m) whatever
+/// the store size.
+fn rows_distinct(rows: &[usize]) -> bool {
+    let mut sorted = rows.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|w| w[0] != w[1])
 }
 
 /// A [`QueryEngine`] shared between one serialized mutation path and
@@ -274,6 +398,28 @@ impl SharedEngine {
     /// This is the **only** writer of the epoch, so epochs increase
     /// strictly and a snapshot's `(epoch, generation)` pair is unique.
     pub fn mutate<T>(&self, f: impl FnOnce(&mut QueryEngine) -> T) -> T {
+        self.mutate_and_publish(f).0
+    }
+
+    /// Fill the all-pairs memo under the engine lock and return the
+    /// snapshot that covers it — the cold-memo fallback of every
+    /// full-matrix read. The returned snapshot always carries
+    /// [`EngineSnapshot::full_matrix`]; when the memo was already warm
+    /// it is the current snapshot and nothing is republished.
+    #[must_use]
+    pub fn fill_memo(&self) -> Arc<EngineSnapshot> {
+        self.mutate_and_publish(|engine| {
+            let _ = engine.pairwise_all();
+        })
+        .1
+    }
+
+    /// [`SharedEngine::mutate`], also returning the snapshot current
+    /// when the engine lock is released.
+    fn mutate_and_publish<T>(
+        &self,
+        f: impl FnOnce(&mut QueryEngine) -> T,
+    ) -> (T, Arc<EngineSnapshot>) {
         let mut engine = recover(self.engine.lock());
         let out = f(&mut engine);
         let generation = engine.generation();
@@ -283,7 +429,7 @@ impl SharedEngine {
             *current = Arc::new(EngineSnapshot::of(&engine, epoch));
             self.epoch.store(epoch, Ordering::Release);
         }
-        out
+        (out, Arc::clone(&current))
     }
 
     /// Consume the shared engine, returning the inner [`QueryEngine`].
@@ -343,7 +489,7 @@ mod tests {
         assert_eq!(shared.epoch(), 2);
         // A pure read inside mutate publishes nothing either.
         shared.mutate(|e| {
-            let _ = e.pair(100, 100);
+            let _ = e.snapshot().pair(100, 100);
         });
         assert_eq!(shared.epoch(), 2);
     }
@@ -383,41 +529,59 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_queries_match_engine_queries_bitwise() {
+    fn fill_memo_publishes_once_and_matches_the_engine() {
         let shared = SharedEngine::new(QueryEngine::default());
         let rels = releases(6, 16);
         for r in &rels {
             shared.mutate(|e| e.ingest(r).unwrap());
         }
-        // Warm the memo through the mutation path; the publish carries
-        // the matrix into the next snapshot.
-        let full = shared.mutate(|e| e.pairwise_all());
-        let snap = shared.snapshot();
-        let snap_full = snap.full_matrix().expect("memo published");
-        assert_eq!(snap_full.as_flat(), full.as_flat());
-        let engine_knn = shared.mutate(|e| e.knn(102, 3).unwrap());
-        let snap_knn = snap.knn(102, 3).unwrap();
-        assert_eq!(engine_knn.len(), snap_knn.len());
-        for (a, b) in engine_knn.iter().zip(&snap_knn) {
-            assert_eq!(a.party_id, b.party_id);
-            assert_eq!(
-                a.estimated_sq_distance.to_bits(),
-                b.estimated_sq_distance.to_bits()
-            );
+        assert!(shared.snapshot().full_matrix().is_none());
+        let epoch = shared.epoch();
+        let warm = shared.fill_memo();
+        assert_eq!(shared.epoch(), epoch + 1, "a cold fill publishes");
+        assert!(Arc::ptr_eq(&warm, &shared.snapshot()));
+        // A warm fill republishes nothing and hands back the same view.
+        assert!(Arc::ptr_eq(&shared.fill_memo(), &warm));
+        assert_eq!(shared.epoch(), epoch + 1);
+        let full = warm.full_matrix().expect("memo published");
+        let engine_full = shared.mutate(|e| e.pairwise_all());
+        assert!(Arc::ptr_eq(&full, &engine_full), "the engine's own memo");
+        let top = warm.top_pairs(4).expect("memo published");
+        assert_eq!(top.len(), 4);
+        for &(a, b, d) in &top {
+            assert_eq!(d.to_bits(), warm.pair(a, b).unwrap().to_bits());
         }
-        let ids = [104u64, 100, 103];
-        let engine_sub = shared.mutate(|e| e.pairwise(&ids).unwrap());
-        let snap_sub = snap.pairwise(&ids).unwrap();
-        assert_eq!(engine_sub.as_flat(), snap_sub.as_flat());
-        let engine_top = shared.mutate(|e| e.top_pairs(4));
-        let snap_top = snap.top_pairs(4).expect("memo published");
-        assert_eq!(engine_top, snap_top);
-        // Tile execution over the snapshot matches the engine's.
-        let plan = snap.pairwise_plan();
-        let ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
-        let engine_tiles = shared.mutate(|e| e.execute_tiles(plan.n(), plan.tile(), &ids).unwrap());
-        let snap_tiles = snap.execute_tiles(plan.n(), plan.tile(), &ids).unwrap();
-        assert_eq!(engine_tiles, snap_tiles);
+        // Executing every tile of the plan and gathering reproduces the
+        // memo bit for bit.
+        let plan = warm.pairwise_plan();
+        let ids: Vec<u64> = (0..plan.tile_count() as u64).rev().collect();
+        let plan = warm.validate_tiles(plan.n(), plan.tile(), &ids).unwrap();
+        let mut gather = crate::Gather::new(plan);
+        for segment in &warm.execute_tiles(&plan, &ids) {
+            gather.accept(segment).unwrap();
+        }
+        assert_eq!(gather.finish().unwrap().as_flat(), full.as_flat());
+    }
+
+    #[test]
+    fn an_empty_store_fills_an_empty_memo() {
+        let shared = SharedEngine::new(QueryEngine::default());
+        let snap = shared.fill_memo();
+        assert_eq!(snap.full_matrix().expect("memo").n(), 0);
+        assert_eq!(snap.top_pairs(3), Some(Vec::new()));
+        assert_eq!(shared.epoch(), 1, "nothing to publish");
+    }
+
+    #[test]
+    fn rows_distinct_finds_duplicates_anywhere_in_the_subset() {
+        assert!(rows_distinct(&[]));
+        assert!(rows_distinct(&[7]));
+        assert!(rows_distinct(&[9, 0, 5, 3]));
+        assert!(!rows_distinct(&[4, 1, 8, 1]));
+        assert!(!rows_distinct(&[2, 2]));
+        // The check never sizes anything by the row indices themselves.
+        assert!(rows_distinct(&[usize::MAX, 0]));
+        assert!(!rows_distinct(&[usize::MAX, 3, usize::MAX]));
     }
 
     #[test]

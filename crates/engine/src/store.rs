@@ -7,7 +7,7 @@
 //! `Arc`-shared chunks (see the `arena` module). All compatibility
 //! checking happens **once, at ingest** — the exact vs-anchor +
 //! moment-span discipline of the tiled all-pairs kernel — so the query
-//! layer ([`crate::QueryEngine`]) never re-validates and never
+//! layer ([`crate::EngineSnapshot`]) never re-validates and never
 //! re-interns, which is what makes per-pair queries O(k) and repeated
 //! ingest allocation-free for tags.
 
@@ -201,9 +201,8 @@ impl SketchStore {
     }
 
     /// A store that adopts the identity (tag, dimension, noise anchor)
-    /// of the **first** release it ingests — the behaviour of the old
-    /// slice-based query surface, kept for its wrappers and for
-    /// observers who receive releases without the spec.
+    /// of the **first** release it ingests — for observers who receive
+    /// releases without the spec.
     #[must_use]
     pub fn adopting() -> Self {
         Self {
@@ -297,7 +296,7 @@ impl SketchStore {
     /// all-pairs matrix, a subset recompute, and a k-NN scan all apply
     /// *the* constant, so slicing the memoized matrix for a subset
     /// query is bit-identical to recomputing — the gate
-    /// [`crate::QueryEngine::pairwise`] checks before reusing its
+    /// [`crate::EngineSnapshot::pairwise`] checks before reusing its
     /// cache.
     #[must_use]
     pub fn debias_uniform(&self) -> bool {
@@ -351,14 +350,26 @@ impl SketchStore {
     /// Ingest a release **without** the duplicate-id check: rows are
     /// positional and later duplicates are not reachable by
     /// [`SketchStore::row_of`]. This is the semantics of the old
-    /// slice-based surface (which happily ranked duplicate ids) and is
-    /// what its wrappers use; services should prefer
-    /// [`SketchStore::ingest`].
+    /// slice-based surface (which happily ranked duplicate ids) and
+    /// what [`SketchStore::decode_snapshot`] replays; services should
+    /// prefer [`SketchStore::ingest`].
     ///
     /// # Errors
     /// [`EngineError::Incompatible`] as for [`SketchStore::ingest`].
     pub fn ingest_row(&mut self, release: &Release) -> Result<usize, EngineError> {
         let sketch = &release.sketch;
+        let m2 = sketch.noise_second_moment();
+        let debias = 2.0 * sketch.k() as f64 * m2;
+        // A finite but huge moment can still overflow the debias
+        // constant; every estimate would then be `±inf` or NaN, and NaN
+        // has no place in a ranking. Refused before anything else, so
+        // it can never anchor the calibration either.
+        if !debias.is_finite() {
+            return Err(EngineError::Incompatible {
+                party_id: release.party_id,
+                detail: format!("debias constant 2k·E[η²] = {debias} is not finite"),
+            });
+        }
         // Validate before interning anything: a stream of rejected
         // releases carrying novel tags must not grow the store's
         // interner — only accepted identities are remembered.
@@ -386,8 +397,6 @@ impl SketchStore {
                 }
             }
         }
-        let m2 = sketch.noise_second_moment();
-        let debias = 2.0 * sketch.k() as f64 * m2;
         if self.is_empty() {
             // First row anchors the noise calibration.
             self.m2_min = m2;

@@ -81,7 +81,7 @@ fn main() {
         println!("pairwise over the socket is bit-identical to the in-process engine");
 
         let remote_knn = client.knn(0, 3).expect("knn");
-        let local_knn = reference.knn(0, 3).expect("knn");
+        let local_knn = reference.snapshot().knn(0, 3).expect("knn");
         assert_eq!(remote_knn.len(), local_knn.len());
         for (r, l) in remote_knn.iter().zip(&local_knn) {
             assert_eq!(r.0, l.party_id);

@@ -1,11 +1,11 @@
 //! # dp-server — the protocol-v5 sketch service
 //!
-//! A shell around [`dp_engine::QueryEngine`]: accept connections on a
+//! A shell around a [`dp_engine::SharedEngine`]: accept connections on a
 //! TCP or unix socket, speak the length-prefixed request/response
 //! frames of [`dp_core::protocol`], and let the engine answer. All
 //! state lives in the engine; the server adds only transport, spec
 //! negotiation, and error mapping — by design, so that a socket answer
-//! is **bit-identical** to calling the engine in process (the
+//! is **bit-identical** to querying an engine snapshot in process (the
 //! end-to-end tests assert exactly that).
 //!
 //! ## Concurrency model
@@ -94,17 +94,10 @@ fn desynchronizes(e: &ClientError) -> bool {
     !matches!(e, ClientError::Remote { .. })
 }
 
-/// One connected worker of the coordinator's pool, plus the
-/// capabilities its last `Hello` advertised.
-struct PooledWorker {
-    client: Client,
-    caps: u32,
-}
-
 /// One worker's pool slot: the live connection (or `None` after a
 /// poisoning failure) plus the identity needed to revive it.
 struct WorkerState {
-    slot: Mutex<Option<PooledWorker>>,
+    slot: Mutex<Option<Client>>,
     /// Where to reconnect after a failure; `None` disables revival for
     /// this worker (the slot stays poisoned until coordinator restart).
     endpoint: Option<Endpoint>,
@@ -314,7 +307,7 @@ impl Shards {
     /// thread that panicked mid-exchange leaves the stream
     /// in an unknown state, so the slot content is discarded (the
     /// worker revives like any other failure) and the mutex healed.
-    fn slot_lock(&self, w: usize) -> MutexGuard<'_, Option<PooledWorker>> {
+    fn slot_lock(&self, w: usize) -> MutexGuard<'_, Option<Client>> {
         let mutex = &self.workers[w].slot;
         mutex.lock().unwrap_or_else(|poison| {
             mutex.clear_poison();
@@ -361,7 +354,7 @@ impl Shards {
     fn with_worker<T>(
         &self,
         w: usize,
-        exchange: impl FnOnce(&mut PooledWorker) -> Result<T, ClientError>,
+        exchange: impl FnOnce(&mut Client) -> Result<T, ClientError>,
     ) -> Result<T, String> {
         let mut slot = self.slot_lock(w);
         let worker = slot
@@ -395,11 +388,8 @@ impl Shards {
             let Some(worker) = slot.as_mut() else {
                 continue;
             };
-            match worker.client.call(request) {
+            match worker.call(request) {
                 Ok(response) => {
-                    if let Response::Hello { caps, .. } = &response {
-                        worker.caps = *caps;
-                    }
                     if !accept(&response) {
                         // Refused or diverged (wrong row echo): the
                         // replica no longer mirrors the local store.
@@ -454,11 +444,7 @@ impl Shards {
     /// The connect itself is bounded by the worker's configured timeout
     /// (this runs under the order lock, so an unbounded TCP connect to
     /// a black-holed host would stall every mutation with it).
-    fn resync(
-        &self,
-        endpoint: &Endpoint,
-        timeout: Option<Duration>,
-    ) -> Result<PooledWorker, String> {
+    fn resync(&self, endpoint: &Endpoint, timeout: Option<Duration>) -> Result<Client, String> {
         let mut client = match timeout {
             Some(t) => Client::connect_timeout(endpoint, t),
             None => Client::connect(endpoint),
@@ -470,16 +456,14 @@ impl Shards {
                 .map_err(|e| format!("set timeout: {e}"))?;
         }
         let journal = self.journal_lock();
-        let mut caps = 0u32;
         let mut have;
         if let Some(spec_json) = journal.spec_json.clone() {
             match client.call(&Request::Hello {
                 spec_json,
                 caps: CLIENT_CAPS,
             }) {
-                Ok(Response::Hello { rows, caps: c, .. }) => {
+                Ok(Response::Hello { rows, .. }) => {
                     have = usize::try_from(rows).unwrap_or(usize::MAX);
-                    caps = c;
                 }
                 Ok(Response::Error { code, message }) => {
                     return Err(format!("refused the journaled spec ({code}): {message}"))
@@ -555,13 +539,11 @@ impl Shards {
                 .replayed_frames
                 .fetch_add((journal.frames.len() - skip) as u64, Ordering::SeqCst);
         }
-        Ok(PooledWorker { client, caps })
+        Ok(client)
     }
 
-    /// Execute one chunk of tile ids on worker `w`, feeding segments
-    /// into the shared gather as they arrive — streamed frame-per-tile
-    /// when the worker advertised [`CAP_TILE_STREAM`], one monolithic
-    /// `TileResult` otherwise.
+    /// Execute one chunk of tile ids on worker `w` as a tile stream,
+    /// feeding segments into the shared gather as they arrive.
     ///
     /// **Any** failure poisons the slot: transport failures via
     /// [`Shards::with_worker`], and completed exchanges whose content
@@ -581,30 +563,17 @@ impl Shards {
         let tile = plan.tile() as u32;
         let mut semantic: Option<String> = None;
         let exchanged = self.with_worker(w, |worker| {
-            if worker.caps & CAP_TILE_STREAM != 0 {
-                worker
-                    .client
-                    .execute_tiles_streamed(rows, tile, ids, &mut |segment| {
-                        if semantic.is_some() {
-                            return;
-                        }
-                        let mut g = gather_lock(gather);
-                        if let Err(e) = g.accept(&segment) {
-                            semantic = Some(format!("worker {w}: bad streamed segment: {e}"));
-                        }
-                    })
-                    .map(|_| ())
-            } else {
-                let segments = worker.client.execute_tiles(rows, tile, ids)?;
-                let mut g = gather_lock(gather);
-                for segment in &segments {
-                    if let Err(e) = g.accept(segment) {
-                        semantic = Some(format!("worker {w}: bad segment: {e}"));
-                        break;
+            worker
+                .execute_tiles_streamed(rows, tile, ids, &mut |segment| {
+                    if semantic.is_some() {
+                        return;
                     }
-                }
-                Ok(())
-            }
+                    let mut g = gather_lock(gather);
+                    if let Err(e) = g.accept(&segment) {
+                        semantic = Some(format!("worker {w}: bad streamed segment: {e}"));
+                    }
+                })
+                .map(|_| ())
         });
         if let Err(message) = exchanged {
             self.poison(w);
@@ -768,8 +737,8 @@ pub struct ServerStats {
 /// engine. Bound via [`Server::bind_coordinator`] it additionally
 /// **fans out**: ingests are broadcast to a pool of worker servers, and
 /// a full all-pairs query is answered by sharding the engine's
-/// [`TilePlan`] across the pool (`ExecuteTiles` per worker, gathered by
-/// tile id) — bit-identical to the local answer, because every path
+/// [`TilePlan`] across the pool (one `ExecuteTilesStream` per worker,
+/// gathered by tile id) — bit-identical to the local answer, because every path
 /// runs the same per-tile kernel.
 pub struct Server {
     endpoint: Endpoint,
@@ -971,10 +940,7 @@ impl Server {
                 workers: workers
                     .into_iter()
                     .map(|entry| WorkerState {
-                        slot: Mutex::new(Some(PooledWorker {
-                            client: entry.client,
-                            caps: 0,
-                        })),
+                        slot: Mutex::new(Some(entry.client)),
                         endpoint: entry.endpoint,
                         timeout: entry.timeout,
                     })
@@ -1074,6 +1040,18 @@ impl Server {
                 }
             }
         })
+    }
+
+    /// `snapshot` when it carries the all-pairs memo, else the snapshot
+    /// a memo fill publishes — so the next full-matrix and top-pairs
+    /// reads are lock-free again. Either way the answer carries
+    /// [`EngineSnapshot::full_matrix`].
+    fn memo_snapshot(&self, snapshot: Arc<EngineSnapshot>) -> Arc<EngineSnapshot> {
+        if snapshot.full_matrix().is_some() {
+            snapshot
+        } else {
+            self.shared.fill_memo()
+        }
     }
 
     /// Answer one `FetchSnapshot`: what a replica holding `have_rows`
@@ -1449,25 +1427,14 @@ impl FrameService for SnapshotService<'_> {
                             shards.sharded_pairwise(snapshot.n(), party_ids)
                         }
                         _ => {
-                            // Warm memo: answer straight off the
-                            // snapshot. Cold: fill the memo through the
-                            // mutation path — which *publishes* a
-                            // snapshot carrying the matrix, so the next
-                            // full-matrix (and top-pairs) reads are
-                            // lock-free again.
-                            let (parties, values) = match snapshot.full_matrix() {
-                                Some(matrix) => (
-                                    snapshot.store().party_ids().collect(),
-                                    matrix.as_flat().to_vec(),
-                                ),
-                                None => server.shared.mutate(|engine| {
-                                    (
-                                        engine.store().party_ids().collect(),
-                                        engine.pairwise_all().as_flat().to_vec(),
-                                    )
-                                }),
-                            };
-                            Response::Pairwise { parties, values }
+                            let snapshot = server.memo_snapshot(snapshot);
+                            let matrix = snapshot
+                                .full_matrix()
+                                .expect("a memo snapshot carries the matrix");
+                            Response::Pairwise {
+                                parties: snapshot.store().party_ids().collect(),
+                                values: matrix.as_flat().to_vec(),
+                            }
                         }
                     }
                 } else {
@@ -1487,24 +1454,6 @@ impl FrameService for SnapshotService<'_> {
                     tile: plan.tile() as u32,
                     tile_count: plan.tile_count() as u64,
                     pair_count: plan.pair_count() as u64,
-                }
-            }
-            Request::ExecuteTiles {
-                rows,
-                tile,
-                tile_ids,
-            } => {
-                let plan_rows = usize::try_from(rows).unwrap_or(usize::MAX);
-                match server
-                    .current_snapshot()
-                    .execute_tiles(plan_rows, tile as usize, &tile_ids)
-                {
-                    Ok(segments) => Response::TileResult {
-                        rows,
-                        tile,
-                        segments,
-                    },
-                    Err(e) => error_response(&e),
                 }
             }
             Request::ExecuteTilesStream {
@@ -1551,15 +1500,12 @@ impl FrameService for SnapshotService<'_> {
                 },
                 Err(e) => error_response(&e),
             },
-            Request::TopPairs { t } => {
-                let pairs = match server.current_snapshot().top_pairs(t as usize) {
-                    Some(pairs) => pairs,
-                    // Stale memo: fill it through the mutation path
-                    // (publishing a matrix-carrying snapshot).
-                    None => server.shared.mutate(|engine| engine.top_pairs(t as usize)),
-                };
-                Response::TopPairs { pairs }
-            }
+            Request::TopPairs { t } => Response::TopPairs {
+                pairs: server
+                    .memo_snapshot(server.current_snapshot())
+                    .top_pairs(t as usize)
+                    .expect("a memo snapshot carries the matrix"),
+            },
             Request::Shutdown => {
                 // A coordinator winds its worker pool down with it
                 // (best-effort: a dead worker can't block shutdown).
@@ -1673,7 +1619,7 @@ fn tile_frames(
             return Some(encode_bounded(&summary));
         };
         let segment = snapshot
-            .execute_tile(&plan, id)
+            .execute_tiles(&plan, &[id])
             .pop()
             .expect("one id, one segment");
         checksum = tile_stream_checksum(checksum, &segment);
@@ -1938,7 +1884,7 @@ impl Client {
     /// Ingest one release with the quantized `f32` sketch framing —
     /// half the bytes per sketch on the wire. Only valid against a
     /// server whose `Hello` advertised
-    /// [`CAP_SKETCH_F32`](dp_core::protocol::CAP_SKETCH_F32); the
+    /// [`CAP_SKETCH_F32`]; the
     /// caller checks the caps word from [`Client::hello_caps`].
     ///
     /// # Errors
@@ -2006,39 +1952,6 @@ impl Client {
             } => Some((rows, tile, tile_count, pair_count)),
             _ => None,
         })
-    }
-
-    /// Execute an explicit set of plan tiles on the server, returning
-    /// the scattered segments keyed by tile id. The response must echo
-    /// the requested plan `(rows, tile)` — a mismatched echo is
-    /// [`ClientError::UnexpectedResponse`], so a gather can never mix
-    /// plans.
-    ///
-    /// # Errors
-    /// [`ClientError::Remote`] (`ERR_PLAN`) when the plan doesn't match
-    /// the server's store; transport/codec failures;
-    /// [`ClientError::Timeout`] past the read timeout.
-    pub fn execute_tiles(
-        &mut self,
-        rows: u64,
-        tile: u32,
-        tile_ids: &[u64],
-    ) -> Result<Vec<TileSegment>, ClientError> {
-        self.expect(
-            &Request::ExecuteTiles {
-                rows,
-                tile,
-                tile_ids: tile_ids.to_vec(),
-            },
-            |r| match r {
-                Response::TileResult {
-                    rows: got_rows,
-                    tile: got_tile,
-                    segments,
-                } if got_rows == rows && got_tile == tile => Some(segments),
-                _ => None,
-            },
-        )
     }
 
     /// Execute plan tiles in **streamed** mode: the server answers with

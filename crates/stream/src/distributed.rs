@@ -23,8 +23,6 @@
 use dp_core::config::SketchConfig;
 use dp_core::error::CoreError;
 use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher, SketcherSpec};
-use dp_core::PairwiseDistances;
-use dp_engine::{QueryEngine, SketchStore};
 use dp_hashing::Seed;
 
 // The release frame itself now lives in `dp_core::release`, shared by
@@ -173,61 +171,6 @@ impl Party {
     }
 }
 
-/// All pairwise squared-distance estimates among released sketches, as a
-/// flat row-major matrix (symmetric, zero diagonal), indexed in release
-/// order. Runs on the environment-default [`dp_core::Parallelism`].
-///
-/// Deprecated: this is now a thin wrapper that loads the slice into a
-/// transient [`dp_engine::SketchStore`] and queries the
-/// [`dp_engine::QueryEngine`]; long-lived services should hold the
-/// engine directly and ingest incrementally.
-///
-/// # Errors
-/// [`CoreError::IncompatibleSketches`] if any sketch doesn't combine
-/// with the first (see [`dp_engine::SketchStore`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `dp_engine::QueryEngine` and call `pairwise_all` instead"
-)]
-pub fn pairwise_sq_distances(releases: &[Release]) -> Result<PairwiseDistances, CoreError> {
-    Ok(engine_over(releases, &dp_core::Parallelism::default())?
-        .pairwise_all()
-        .as_ref()
-        .clone())
-}
-
-/// [`pairwise_sq_distances`] with an explicit [`dp_core::Parallelism`]
-/// knob (thread count and tile size). Bit-identical for every setting.
-///
-/// # Errors
-/// [`CoreError::IncompatibleSketches`] if any sketch doesn't combine
-/// with the first (see [`dp_engine::SketchStore`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `dp_engine::QueryEngine` and call `pairwise_all` instead"
-)]
-pub fn pairwise_sq_distances_par(
-    releases: &[Release],
-    par: &dp_core::Parallelism,
-) -> Result<PairwiseDistances, CoreError> {
-    Ok(engine_over(releases, par)?.pairwise_all().as_ref().clone())
-}
-
-/// Load a transient slice of releases into a query engine (adopting the
-/// first release's identity, tolerating duplicate party ids exactly like
-/// the old slice-based free functions did). Shared by the deprecated
-/// wrappers here and in [`crate::knn`].
-pub(crate) fn engine_over(
-    releases: &[Release],
-    par: &dp_core::Parallelism,
-) -> Result<QueryEngine, CoreError> {
-    let mut engine = QueryEngine::new(SketchStore::adopting()).with_parallelism(*par);
-    for r in releases {
-        engine.ingest_row(r)?;
-    }
-    Ok(engine)
-}
-
 /// Index of the released sketch nearest to `query` (by estimated squared
 /// distance), excluding `query` itself when it appears in the list.
 ///
@@ -248,14 +191,19 @@ pub fn nearest_neighbor(query: &Release, candidates: &[Release]) -> Result<Optio
 }
 
 #[cfg(test)]
-// The deprecated slice-based wrappers stay under test: they must keep
-// answering exactly like the engine they delegate to.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use dp_core::kenthapadi::SigmaCalibration;
     use dp_core::wire::TagInterner;
+    use dp_engine::{QueryEngine, SketchStore};
     use dp_stats::Summary;
+
+    /// The all-pairs estimates among `releases`, in release order.
+    fn pairwise(releases: &[Release]) -> std::sync::Arc<dp_core::PairwiseDistances> {
+        let mut engine = QueryEngine::new(SketchStore::adopting());
+        engine.ingest_batch(releases).unwrap();
+        engine.pairwise_all()
+    }
 
     fn params(d: usize) -> PublicParams {
         let config = SketchConfig::builder()
@@ -388,7 +336,7 @@ mod tests {
                 .iter()
                 .map(|q| q.release_with(&sketcher).unwrap())
                 .collect();
-            let m = pairwise_sq_distances(&releases).unwrap();
+            let m = pairwise(&releases);
             d01.push(m.at(0, 1));
             d02.push(m.at(0, 2));
             assert_eq!(m.at(0, 1), m.at(1, 0), "symmetry");
@@ -477,7 +425,7 @@ mod tests {
             Party::new(1, vec![1.0; d], Seed::new(2)),
         ];
         let releases: Vec<Release> = parties.iter().map(|q| q.release(&p).unwrap()).collect();
-        let m = pairwise_sq_distances(&releases).unwrap();
+        let m = pairwise(&releases);
         assert!(m.at(0, 1).is_finite());
         assert!(!p.sketcher().unwrap().guarantee().is_pure());
     }

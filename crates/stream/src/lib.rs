@@ -19,8 +19,6 @@ pub mod distributed;
 pub mod knn;
 pub mod streaming;
 
-#[allow(deprecated)]
-pub use distributed::pairwise_sq_distances;
 pub use distributed::{
     nearest_neighbor, parse_release, parse_release_bytes, Party, PublicParams, Release,
 };

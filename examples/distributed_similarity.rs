@@ -111,11 +111,14 @@ fn run_protocol(params: &PublicParams) {
         mean(&intra) < mean(&inter),
         "clusters should be separable from private sketches"
     );
-    let (a, b, closest) = engine.top_pairs(1)[0];
+    // Every query reads an immutable snapshot of the engine (it now
+    // carries the warm all-pairs memo).
+    let snapshot = engine.snapshot();
+    let (a, b, closest) = snapshot.top_pairs(1).expect("warm memo")[0];
     println!("closest pair: parties {a} and {b} (est. distance² = {closest:.1})");
 
-    // Nearest-neighbor query for party 0, straight off the engine.
-    let nn = engine.knn(0, 1).expect("knn");
+    // Nearest-neighbor query for party 0.
+    let nn = snapshot.knn(0, 1).expect("knn");
     println!(
         "nearest neighbor of party 0: {} (est. distance² = {:.1})",
         nn[0].party_id, nn[0].estimated_sq_distance

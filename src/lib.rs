@@ -70,13 +70,13 @@
 //! | [`dp_noise`] | Laplace/Gaussian/discrete mechanisms, moments, privacy accounting |
 //! | [`dp_transforms`] | iid-Gaussian, Achlioptas, FJLT and SJLT projections |
 //! | [`dp_parallel`] | scoped thread pool, `Parallelism` knob, pairwise tile scheduler |
-//! | [`dp_core`] | the `PrivateSketcher` trait, `AnySketcher`/`SketcherSpec`, estimators, variance theory, wire codecs (v2 frames + v3 protocol) |
-//! | [`dp_engine`] | the persistent `SketchStore` and incremental `QueryEngine` over released sketches |
+//! | [`dp_core`] | the `PrivateSketcher` trait, `AnySketcher`/`SketcherSpec`, estimators, variance theory, wire codecs (v2 frames + v5 protocol) |
+//! | [`dp_engine`] | the persistent `SketchStore`, the incremental `QueryEngine` that ingests into it, and the `EngineSnapshot` every query reads |
 //! | [`dp_stream`] | streaming (turnstile) sketches and the spec-driven distributed protocol |
 //! | [`dp_stats`] | measurement utilities used by tests and the experiment harness |
 //!
 //! A standalone `dp-server` crate (not re-exported here) serves the
-//! engine over TCP/unix sockets speaking the wire protocol v3 of
+//! engine over TCP/unix sockets speaking the wire protocol v5 of
 //! [`dp_core::protocol`].
 
 pub use dp_core as core;
@@ -104,7 +104,9 @@ pub mod prelude {
             Construction, PairwiseDistances, PrivateSketcher, SketcherSpec,
         },
     };
-    pub use dp_engine::{EngineError, Gather, GatherError, Neighbor, QueryEngine, SketchStore};
+    pub use dp_engine::{
+        EngineError, EngineSnapshot, Gather, GatherError, Neighbor, QueryEngine, SketchStore,
+    };
     pub use dp_hashing::Seed;
     pub use dp_noise::{
         mechanism::{GaussianMechanism, LaplaceMechanism, NoiseMechanism},

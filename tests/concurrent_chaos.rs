@@ -78,6 +78,7 @@ fn prefix_references(spec: &SketcherSpec, rs: &[Release]) -> Vec<PrefixReference
             parties: engine.store().party_ids().collect(),
             matrix: engine.pairwise_all().as_flat().to_vec(),
             knn: engine
+                .snapshot()
                 .knn(rs[0].party_id, 3)
                 .expect("knn")
                 .into_iter()
@@ -113,6 +114,7 @@ fn run_chaos(loops: usize) {
             engine.ingest(r).expect("ingest");
         }
         engine
+            .snapshot()
             .pairwise(&seeded_pair)
             .expect("pair")
             .as_flat()

@@ -180,43 +180,31 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
             "frontier ({frontier}) must be a strict subset of the plan ({grown_tile_count})"
         );
 
-        // Remote ExecuteTiles against a stale plan is a typed error.
-        let err = direct.execute_tiles(16, 5, &[0]).expect_err("stale plan");
-        assert!(
-            matches!(err, ClientError::Remote { code, .. } if code == dp_euclid::core::protocol::ERR_PLAN),
-            "{err:?}"
-        );
-        let err = direct
-            .execute_tiles(18, 5, &[grown_tile_count])
-            .expect_err("alien tile id");
-        assert!(
-            matches!(err, ClientError::Remote { code, .. } if code == dp_euclid::core::protocol::ERR_PLAN),
-            "{err:?}"
-        );
-        // The streamed mode answers a stale plan with a single typed
-        // error frame too, leaving the connection usable.
-        let err = direct
-            .execute_tiles_streamed(16, 5, &[0], &mut |_| {})
-            .expect_err("stale streamed plan");
-        assert!(
-            matches!(err, ClientError::Remote { code, .. } if code == dp_euclid::core::protocol::ERR_PLAN),
-            "{err:?}"
-        );
-        // Streamed and monolithic execution agree bit for bit.
+        // A stale plan, or a tile id outside the plan, is refused with
+        // a single typed error frame that leaves the connection usable.
+        for (rows, ids) in [(16u64, vec![0u64]), (18, vec![grown_tile_count])] {
+            let err = direct
+                .execute_tiles_streamed(rows, 5, &ids, &mut |_| {})
+                .expect_err("refused plan");
+            assert!(
+                matches!(err, ClientError::Remote { code, .. } if code == dp_euclid::core::protocol::ERR_PLAN),
+                "{err:?}"
+            );
+        }
+        // Every streamed tile of the worker's replica gathers into the
+        // reference matrix bit for bit.
         let all_ids: Vec<u64> = (0..grown_tile_count).collect();
-        let mono = direct
-            .execute_tiles(18, 5, &all_ids)
-            .expect("monolithic tiles");
-        let mut streamed = Vec::new();
+        let mut gather = Gather::new(dp_euclid::core::TilePlan::new(18, 5));
         let parts = direct
-            .execute_tiles_streamed(18, 5, &all_ids, &mut |segment| streamed.push(segment))
+            .execute_tiles_streamed(18, 5, &all_ids, &mut |segment| {
+                gather.accept(&segment).expect("segment fits the plan");
+            })
             .expect("streamed tiles");
         assert_eq!(parts, grown_tile_count);
-        assert_eq!(mono.len(), streamed.len());
-        for (m, s) in mono.iter().zip(&streamed) {
-            assert_eq!(m.tile_id, s.tile_id);
-            assert_bits(&s.values, &m.values);
-        }
+        assert_bits(
+            gather.finish().expect("every tile streamed").as_flat(),
+            grown_reference.as_flat(),
+        );
         drop(direct);
 
         // Non-pairwise queries stay local on the coordinator and still
@@ -227,7 +215,7 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
             local.ingest(r).expect("ingest");
         }
         let remote_knn = client.knn(rs[3].party_id, 4).expect("knn");
-        let local_knn = local.knn(rs[3].party_id, 4).expect("knn");
+        let local_knn = local.snapshot().knn(rs[3].party_id, 4).expect("knn");
         for (r, l) in remote_knn.iter().zip(&local_knn) {
             assert_eq!(r.0, l.party_id);
             assert_eq!(r.1.to_bits(), l.estimated_sq_distance.to_bits());

@@ -1,15 +1,10 @@
-//! Integration tests of the `dp-engine` query layer against the legacy
-//! slice-based surface: the deprecated wrappers must answer exactly
-//! like the engine they delegate to, repeated ingest must never grow
-//! the tag interner, and incremental queries must be bit-identical to
-//! cold ones.
-#![allow(deprecated)]
+//! Integration tests of the `dp-engine` query layer over protocol
+//! releases: repeated ingest must never grow the tag interner,
+//! incremental queries must be bit-identical to cold ones, and the
+//! snapshot's point queries must agree with its matrix.
 
-use dp_euclid::core::sketcher::pairwise_sq_distances_reference;
 use dp_euclid::hashing::Seed;
 use dp_euclid::prelude::*;
-use dp_euclid::stream::distributed::{pairwise_sq_distances, pairwise_sq_distances_par};
-use dp_euclid::stream::knn::{neighbor_rankings, neighbor_rankings_par, top_k};
 
 fn params(d: usize) -> PublicParams {
     let config = SketchConfig::builder()
@@ -33,63 +28,6 @@ fn releases(p: &PublicParams, n: usize) -> Vec<Release> {
                 .expect("release")
         })
         .collect()
-}
-
-#[test]
-fn deprecated_pairwise_wrapper_matches_reference_bit_for_bit() {
-    let p = params(64);
-    for n in [0usize, 1, 2, 7] {
-        let rs = releases(&p, n);
-        let sketches: Vec<NoisySketch> = rs.iter().map(|r| r.sketch.clone()).collect();
-        let reference = pairwise_sq_distances_reference(&sketches).expect("reference");
-        // The no-knob wrapper rides `Parallelism::default()`, which in
-        // the DP_KERNEL=simd CI lane selects the v2 kernel — its anchor
-        // is the same kernel run sequentially (identical to `reference`
-        // in the scalar lane).
-        let env_reference = pairwise_sq_distances_with_par(
-            &sketches,
-            |s| s,
-            &Parallelism::sequential().with_kernel(Parallelism::from_env().kernel()),
-        )
-        .expect("reference");
-        let via_wrapper = pairwise_sq_distances(&rs).expect("wrapper");
-        assert_eq!(via_wrapper.n(), reference.n());
-        for (a, b) in env_reference.as_flat().iter().zip(via_wrapper.as_flat()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "n = {n}");
-        }
-        for threads in [1usize, 3] {
-            let par = Parallelism::new(threads).with_tile(4);
-            let via_par = pairwise_sq_distances_par(&rs, &par).expect("wrapper");
-            for (a, b) in reference.as_flat().iter().zip(via_par.as_flat()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n = {n}, threads = {threads}");
-            }
-        }
-    }
-}
-
-#[test]
-fn deprecated_rankings_wrapper_matches_per_query_top_k() {
-    let p = params(128);
-    let rs = releases(&p, 6);
-    // The old semantics, reconstructed from the still-per-query top_k.
-    let expected: Vec<Vec<u64>> = rs
-        .iter()
-        .map(|q| {
-            top_k(q, &rs, rs.len())
-                .expect("topk")
-                .into_iter()
-                .map(|n| n.party_id)
-                .collect()
-        })
-        .collect();
-    assert_eq!(neighbor_rankings(&rs).expect("rankings"), expected);
-    for threads in [1usize, 2, 5] {
-        assert_eq!(
-            neighbor_rankings_par(&rs, &Parallelism::new(threads)).expect("rankings"),
-            expected,
-            "threads = {threads}"
-        );
-    }
 }
 
 #[test]
@@ -118,12 +56,14 @@ fn repeated_ingest_never_grows_the_interner() {
 }
 
 #[test]
-fn engine_is_incremental_across_wrapper_sized_batches() {
+fn engine_is_incremental_across_ingest_waves() {
     // Ingest in three waves with queries in between; the final matrix
-    // must equal the one-shot wrapper's bit for bit.
+    // must equal a cold one-shot engine's bit for bit.
     let p = params(96);
     let rs = releases(&p, 10);
-    let oneshot = pairwise_sq_distances(&rs).expect("wrapper");
+    let mut cold = QueryEngine::new(SketchStore::adopting());
+    cold.ingest_batch(&rs).expect("ingest");
+    let oneshot = cold.pairwise_all();
     let mut engine = QueryEngine::new(SketchStore::adopting());
     for r in &rs[..2] {
         engine.ingest(r).expect("ingest");
@@ -158,14 +98,35 @@ fn knn_and_top_pairs_agree_with_the_matrix() {
         engine.ingest(r).expect("ingest");
     }
     let matrix = engine.pairwise_all();
+    let snap = engine.snapshot();
     // top_pairs reports matrix entries, ascending.
-    let top = engine.top_pairs(21);
+    let top = snap.top_pairs(21).expect("warm memo");
     assert_eq!(top.len(), 21);
     for w in top.windows(2) {
         assert!(w[0].2 <= w[1].2);
     }
-    // knn's neighbor set for party 0 is everyone else.
-    let nn = engine.knn(0, 100).expect("knn");
+    for &(a, b, d) in &top {
+        assert_eq!(d.to_bits(), matrix.at(a as usize, b as usize).to_bits());
+    }
+    // knn's neighbor set for party 0 is everyone else, each scored
+    // exactly as its matrix entry.
+    let nn = snap.knn(0, 100).expect("knn");
     assert_eq!(nn.len(), 6);
+    for n in &nn {
+        assert_eq!(
+            n.estimated_sq_distance.to_bits(),
+            matrix.at(0, n.party_id as usize).to_bits()
+        );
+    }
     assert_eq!(matrix.n(), 7);
+    // Every engine ranking matches the per-release `top_k` helper's.
+    for q in &rs {
+        let ids = |ns: Vec<Neighbor>| ns.into_iter().map(|n| n.party_id).collect::<Vec<_>>();
+        assert_eq!(
+            ids(snap.knn(q.party_id, rs.len()).expect("knn")),
+            ids(dp_euclid::stream::knn::top_k(q, &rs, rs.len()).expect("top_k")),
+            "query {}",
+            q.party_id
+        );
+    }
 }

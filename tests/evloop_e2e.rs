@@ -1,12 +1,15 @@
 //! End-to-end tests of the event-loop server beyond the request kinds
-//! `server_e2e.rs` pins: the tile surface (plan, monolithic and
-//! streamed execution) must match the in-process engine; bulk streams
+//! `server_e2e.rs` pins: the tile surface (plan and streamed
+//! execution) must match the in-process snapshot; bulk streams
 //! (`FetchSnapshot`, `ExecuteTilesStream`) larger than the write
 //! budget must go out as pulled streams, bit-identical to the engine;
 //! a single oversized frame must surface as the typed `ERR_BUSY`; and
 //! a wedged client must never block a loop.
 
-use dp_euclid::core::protocol::{ERR_BUSY, SNAPSHOT_LAYER_STORE};
+use dp_euclid::core::protocol::{
+    decode_response, encode_request, read_frame, write_frame, Request, Response, ERR_BUSY,
+    ERR_MALFORMED, SNAPSHOT_LAYER_STORE,
+};
 use dp_euclid::core::release::Release;
 use dp_euclid::core::TilePlan;
 use dp_euclid::hashing::Seed;
@@ -55,11 +58,12 @@ fn assert_bits(got: &[f64], want: &[f64], what: &str) {
 fn evloop_client_surface_works_end_to_end() {
     // The blocking Client speaks to the reactor — including the
     // streamed tile exchange with its digest verification — and the
-    // tile surface answers exactly what the in-process engine does.
+    // tile surface answers exactly what the in-process snapshot does.
     let spec = spec(64);
     let rs = releases(&spec, 5);
     let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
     reference.ingest_batch(&rs).expect("ingest");
+    let reference = reference.snapshot();
     let plan = TilePlan::new(rs.len(), 2);
     let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
     let server = Server::bind(requested, QueryEngine::new(SketchStore::adopting())).expect("bind");
@@ -76,16 +80,42 @@ fn evloop_client_surface_works_end_to_end() {
         assert_eq!((rows, tile), (rs.len() as u64, 2));
         assert_eq!(tile_count, plan.tile_count() as u64);
         assert_eq!(pair_count, plan.pair_count() as u64);
-        let ids: Vec<u64> = (0..tile_count).collect();
-        let local = reference.execute_tiles(rs.len(), 2, &ids).expect("local");
+        // Every tile, in a shuffled order: the stream answers in
+        // request order, bit-identical to the snapshot's executor.
+        let ids: Vec<u64> = (0..tile_count).rev().collect();
+        let plan = reference
+            .validate_tiles(rs.len(), 2, &ids)
+            .expect("valid plan");
+        let local = reference.execute_tiles(&plan, &ids);
         let mut segments = Vec::new();
         let parts = client
             .execute_tiles_streamed(rows, tile, &ids, &mut |s| segments.push(s))
             .expect("stream");
         assert_eq!(parts, tile_count);
-        assert_eq!(segments, local);
-        let monolithic = client.execute_tiles(rows, tile, &ids).expect("monolithic");
-        assert_eq!(monolithic, local);
+        assert_eq!(segments.len(), local.len());
+        for (got, want) in segments.iter().zip(&local) {
+            assert_eq!(got.tile_id, want.tile_id);
+            assert_bits(&got.values, &want.values, "streamed tile");
+        }
+        // A frame of the retired monolithic kind 8 is answered with a
+        // typed ERR_MALFORMED, and the connection stays in step.
+        let mut retired = encode_request(&Request::ExecuteTilesStream {
+            rows,
+            tile,
+            tile_ids: ids.clone(),
+        })
+        .expect("encode");
+        retired[5] = 8;
+        let covered = retired.len() - 8;
+        let checksum = dp_euclid::core::wire::fnv1a64(&retired[..covered]);
+        retired[covered..].copy_from_slice(&checksum.to_le_bytes());
+        write_frame(client.conn_mut(), &retired).expect("write");
+        let reply = read_frame(client.conn_mut()).expect("read").expect("frame");
+        match decode_response(&reply).expect("decode") {
+            Response::Error { code, .. } => assert_eq!(code, ERR_MALFORMED),
+            other => panic!("retired kind answered {other:?}"),
+        }
+        assert_eq!(client.knn(rs[0].party_id, 2).expect("knn").len(), 2);
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread");
     });
@@ -220,9 +250,9 @@ fn fetch_snapshot_and_tile_streams_outgrow_a_small_write_budget() {
             .execute_tiles_streamed(rows, tile, &ids, &mut |segment| segments.push(segment))
             .expect("tile stream");
         assert_eq!(streamed, tile_count);
-        let local = reference
-            .execute_tiles(rs.len(), 2, &ids)
-            .expect("local tiles");
+        let snapshot = reference.snapshot();
+        let plan = snapshot.validate_tiles(rs.len(), 2, &ids).expect("plan");
+        let local = snapshot.execute_tiles(&plan, &ids);
         assert_eq!(segments, local);
         let values: usize = local.iter().map(|s| s.values.len()).sum();
         assert!(8 * values > BUDGET, "tile stream of {values} values");

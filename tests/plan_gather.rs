@@ -18,7 +18,7 @@
 //!    the coordinator's ingest-then-requery path rests on.
 
 use dp_euclid::core::release::Release;
-use dp_euclid::core::TilePlan;
+use dp_euclid::core::{TilePlan, TileSegment};
 use dp_euclid::engine::Gather;
 use dp_euclid::hashing::{Prng, Seed};
 use dp_euclid::prelude::*;
@@ -36,6 +36,14 @@ fn reference_matrix(sketches: &[NoisySketch]) -> PairwiseDistances {
         &Parallelism::sequential().with_kernel(Parallelism::from_env().kernel()),
     )
     .expect("reference")
+}
+
+/// Validate and execute plan tiles over the engine's current rows, as a
+/// worker answers a tile stream.
+fn execute(engine: &QueryEngine, n: usize, tile: usize, ids: &[u64]) -> Vec<TileSegment> {
+    let snapshot = engine.snapshot();
+    let plan = snapshot.validate_tiles(n, tile, ids).expect("valid plan");
+    snapshot.execute_tiles(&plan, ids)
 }
 
 /// A pool of real releases the gather cases slice from (built once:
@@ -145,9 +153,7 @@ proptest! {
         let mut segments = Vec::new();
         for range in plan.shard(shards) {
             let ids: Vec<u64> = (range.start as u64..range.end as u64).collect();
-            segments.extend(
-                engine.execute_tiles(n, tile, &ids).expect("valid plan"),
-            );
+            segments.extend(execute(&engine, n, tile, &ids));
         }
         shuffle(&mut segments, order_seed);
 
@@ -217,7 +223,7 @@ proptest! {
         // Execute only the frontier, sharded and shuffled.
         let mut segments = Vec::new();
         for chunk_ids in frontier.chunks(frontier.len().div_ceil(shards).max(1)) {
-            segments.extend(engine.execute_tiles(n, tile, chunk_ids).expect("valid"));
+            segments.extend(execute(&engine, n, tile, chunk_ids));
         }
         shuffle(&mut segments, order_seed);
         for segment in &segments {
@@ -295,7 +301,7 @@ fn gather_reports_missing_tiles_per_shard() {
     let mut gather = Gather::new(plan);
     for range in &ranges[..2] {
         let ids: Vec<u64> = (range.start as u64..range.end as u64).collect();
-        for segment in engine.execute_tiles(n, 4, &ids).expect("valid plan") {
+        for segment in execute(&engine, n, 4, &ids) {
             gather.accept(&segment).expect("fits");
         }
     }

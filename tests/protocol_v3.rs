@@ -1,15 +1,16 @@
-//! Round-trip and corruption tests for the wire protocol v3 frames
+//! Round-trip and corruption tests for the wire protocol frames
 //! (`dp_euclid::core::protocol`), mirroring the v2 sketch-codec suite
 //! in `tests/wire_codec.rs`: every frame kind must round-trip
 //! identically, re-encode byte-identically, and reject every
-//! single-byte corruption.
+//! single-byte corruption; retired kinds must decode to a typed error.
 
+use dp_euclid::core::error::CoreError;
 use dp_euclid::core::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     Request, Response, CAP_SKETCH_F32, CAP_SNAPSHOT, CAP_TILE_STREAM, ERR_BUSY,
     ERR_DUPLICATE_PARTY, ERR_INCOMPATIBLE, ERR_INTERNAL, ERR_KERNEL, ERR_MALFORMED, ERR_PLAN,
-    ERR_SPEC, ERR_SPEC_MISMATCH, ERR_UNKNOWN_PARTY, ERR_WORKER, SNAPSHOT_LAYER_JOURNAL,
-    SNAPSHOT_LAYER_STORE,
+    ERR_SPEC, ERR_SPEC_MISMATCH, ERR_UNKNOWN_PARTY, ERR_WORKER, PROTOCOL_VERSION, REQUEST_MAGIC,
+    RESPONSE_MAGIC, SNAPSHOT_LAYER_JOURNAL, SNAPSHOT_LAYER_STORE,
 };
 use dp_euclid::core::release::Release;
 use dp_euclid::hashing::Seed;
@@ -55,20 +56,15 @@ fn all_requests() -> Vec<Request> {
         Request::TopPairs { t: 3 },
         Request::Shutdown,
         Request::PlanPairwise { tile: 64 },
-        Request::ExecuteTiles {
-            rows: 17,
-            tile: 5,
-            tile_ids: vec![9, 0, 3],
-        },
-        Request::ExecuteTiles {
-            rows: 0,
-            tile: 1,
-            tile_ids: vec![],
-        },
         Request::ExecuteTilesStream {
             rows: 17,
             tile: 5,
             tile_ids: vec![2, 8],
+        },
+        Request::ExecuteTilesStream {
+            rows: 0,
+            tile: 1,
+            tile_ids: vec![],
         },
         Request::FetchSnapshot {
             have_rows: 12,
@@ -131,24 +127,13 @@ fn all_responses() -> Vec<Response> {
             tile_count: 10,
             pair_count: 136,
         },
-        Response::TileResult {
+        Response::TileResultPart {
             rows: 17,
             tile: 5,
-            segments: vec![
-                dp_euclid::core::TileSegment {
-                    tile_id: 3,
-                    values: vec![-0.75, 2.5],
-                },
-                dp_euclid::core::TileSegment {
-                    tile_id: 0,
-                    values: vec![],
-                },
-            ],
-        },
-        Response::TileResult {
-            rows: 0,
-            tile: 1,
-            segments: vec![],
+            segment: dp_euclid::core::TileSegment {
+                tile_id: 0,
+                values: vec![],
+            },
         },
         Response::TileResultPart {
             rows: 17,
@@ -242,6 +227,75 @@ fn truncation_and_direction_confusion_rejected() {
     })
     .expect("encode");
     assert!(decode_request(&resp).is_err());
+}
+
+/// A sealed payload: magic, the current version, `kind`, `body`, and
+/// the FNV-1a-64 trailer — exactly what an encoder emits.
+fn sealed_frame(magic: [u8; 4], kind: u8, body: &[u8]) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    out.push(PROTOCOL_VERSION);
+    out.push(kind);
+    out.extend_from_slice(body);
+    let checksum = dp_euclid::core::wire::fnv1a64(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+#[test]
+fn retired_tile_kinds_decode_to_a_typed_error() {
+    // Request kind 8 was the monolithic ExecuteTiles: rows, tile, then
+    // an id list — byte for byte the body of today's kind 9, so a
+    // decoder folding 8 into 9 would silently accept it.
+    let mut body = 17u64.to_le_bytes().to_vec();
+    body.extend_from_slice(&5u32.to_le_bytes());
+    body.extend_from_slice(&2u32.to_le_bytes());
+    for id in [3u64, 0] {
+        body.extend_from_slice(&id.to_le_bytes());
+    }
+    let retired = sealed_frame(REQUEST_MAGIC, 8, &body);
+    match decode_request(&retired) {
+        Err(CoreError::Wire(message)) => {
+            assert!(message.contains("unknown request kind 8"), "{message}");
+        }
+        other => panic!("retired request kind 8 decoded as {other:?}"),
+    }
+    // The identical body under the live streamed kind still decodes.
+    assert!(matches!(
+        decode_request(&sealed_frame(REQUEST_MAGIC, 9, &body)),
+        Ok(Request::ExecuteTilesStream {
+            rows: 17,
+            tile: 5,
+            ..
+        })
+    ));
+
+    // Response kind 9 was the monolithic TileResult: rows, tile, then
+    // a segment list of (tile id, value list).
+    let mut body = 17u64.to_le_bytes().to_vec();
+    body.extend_from_slice(&5u32.to_le_bytes());
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&3u64.to_le_bytes());
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&(-0.75f64).to_le_bytes());
+    let retired = sealed_frame(RESPONSE_MAGIC, 9, &body);
+    match decode_response(&retired) {
+        Err(CoreError::Wire(message)) => {
+            assert!(message.contains("unknown response kind 9"), "{message}");
+        }
+        other => panic!("retired response kind 9 decoded as {other:?}"),
+    }
+    // Whatever the body, a retired kind is the same typed error — with
+    // an empty body, a truncated one, or a hostile count.
+    for body in [&[][..], &[0xff; 3][..], &[0xff; 64][..]] {
+        assert!(matches!(
+            decode_request(&sealed_frame(REQUEST_MAGIC, 8, body)),
+            Err(CoreError::Wire(_))
+        ));
+        assert!(matches!(
+            decode_response(&sealed_frame(RESPONSE_MAGIC, 9, body)),
+            Err(CoreError::Wire(_))
+        ));
+    }
 }
 
 #[test]

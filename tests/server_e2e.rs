@@ -106,12 +106,13 @@ fn socket_answers_are_bit_identical_to_the_engine() {
         for (a, b) in values.iter().zip(local.as_flat()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+        let snapshot = reference.snapshot();
 
         // Subset pairwise, in requested order.
         let subset = [rs[5].party_id, rs[1].party_id, rs[2].party_id];
         let (sub_ids, sub_values) = client.pairwise(&subset).expect("subset");
         assert_eq!(sub_ids, subset);
-        let local_sub = reference.pairwise(&subset).expect("subset");
+        let local_sub = snapshot.pairwise(&subset).expect("subset");
         for (a, b) in sub_values.iter().zip(local_sub.as_flat()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -119,7 +120,7 @@ fn socket_answers_are_bit_identical_to_the_engine() {
         // knn: same neighbors, same bits.
         for &party in &[rs[0].party_id, rs[7].party_id] {
             let remote = client.knn(party, 4).expect("knn");
-            let local = reference.knn(party, 4).expect("knn");
+            let local = snapshot.knn(party, 4).expect("knn");
             assert_eq!(remote.len(), local.len());
             for (r, l) in remote.iter().zip(&local) {
                 assert_eq!(r.0, l.party_id);
@@ -129,7 +130,7 @@ fn socket_answers_are_bit_identical_to_the_engine() {
 
         // top_pairs: same pairs, same bits.
         let remote_top = client.top_pairs(5).expect("top");
-        let local_top = reference.top_pairs(5);
+        let local_top = snapshot.top_pairs(5).expect("warm memo");
         assert_eq!(remote_top.len(), local_top.len());
         for (r, l) in remote_top.iter().zip(&local_top) {
             assert_eq!((r.0, r.1), (l.0, l.1));
